@@ -23,16 +23,7 @@ from .polar import (
     parabolic_form,
     symplectic_form,
 )
-from .reconstruct import (
-    ParallelClasses,
-    Parallelism,
-    ReconstructedStructure,
-    canonical_map,
-    intrinsic_affine_lines,
-    parallel_closure,
-    reconstruct,
-    star_parallel,
-)
+from .reconstruct import Parallelism, ReconstructedStructure, canonical_map, reconstruct
 from .verify import CheckResult, find_isomorphism, is_isomorphism, run_lemma_battery
 
 __version__ = "0.1.0"
@@ -64,11 +55,7 @@ __all__ = [
     "drop_proper_line",
     "resolve_horizon",
     "Parallelism",
-    "ParallelClasses",
     "ReconstructedStructure",
-    "star_parallel",
-    "parallel_closure",
-    "intrinsic_affine_lines",
     "reconstruct",
     "canonical_map",
     "CheckResult",

@@ -143,12 +143,22 @@ def _run_single(
     outdir.mkdir(parents=True, exist_ok=True)
     failed = 0
     comp: Complement | None = None
+    par: Parallelism | None = None
 
     def need_comp() -> Complement:
         nonlocal comp
         if comp is None:
             comp = build_complement(ps, horizon)
         return comp
+
+    def need_par() -> Parallelism | None:
+        """The one Parallelism of this run; None over a hyperplane horizon,
+        where the battery skips every intrinsic check and reconstruction
+        refuses."""
+        nonlocal par
+        if par is None and not ps.structure.is_hyperplane(horizon):
+            par = Parallelism(need_comp())
+        return par
 
     if "axioms" in tasks:
         report = check_polar_axioms(ps)
@@ -160,7 +170,9 @@ def _run_single(
         _emit(_complement_payload(need_comp()), str(outdir / "complement.json"))
 
     if "lemmas" in tasks:
-        checks = run_lemma_battery(need_comp(), seed=seed, exhaustive=exhaustive)
+        checks = run_lemma_battery(
+            need_comp(), seed=seed, exhaustive=exhaustive, parallelism=need_par()
+        )
         n_bad = sum(1 for c in checks if c.status == "fail")
         failed += n_bad
         _emit(
@@ -173,7 +185,7 @@ def _run_single(
 
     recon = None
     if "reconstruct" in tasks or "verify" in tasks:
-        recon = reconstruct(need_comp())
+        recon = reconstruct(need_comp(), need_par())
 
     if "reconstruct" in tasks and recon is not None:
         try:

@@ -1,10 +1,14 @@
 """Rebuilding the ambient polar space from a complement's own incidence.
 
-The engine is :class:`Parallelism`: a crossing-configuration relation on
-disjoint proper lines (two further lines meeting both, with their common
-point off the first two), its reflexive-transitive closure via union-find,
-and on top of that the anti-euclidean relation on affine lines, its lift to
-parallel classes, and the ternary collinearity test for directions.
+The engine is :class:`Parallelism`.  Two disjoint proper lines are related
+by the crossing configuration when two further lines cross both and meet
+each other in a point off them.  Such pairs are found from the crossing
+point: for each proper point ``p`` and each two lines ``t1``, ``t2``
+through it, every line that meets both away from ``p`` is crossed there,
+so any two disjoint lines among them are related.  On top of the
+reflexive-transitive closure of that relation (via union-find) sit the
+anti-euclidean relation on affine lines, its lift to parallel classes, and
+the ternary collinearity test for directions.
 
 New points are the parallel classes.  New lines come in two families: sets
 of classes mutually related under the lifted relation (these recover lines
@@ -16,7 +20,7 @@ layer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .complement import Complement
 from .errors import HorizonRefusal, IntegrityError
@@ -24,63 +28,31 @@ from .incidence import IncidenceStructure, bits
 
 __all__ = [
     "Parallelism",
-    "ParallelClasses",
     "ReconstructedStructure",
-    "star_parallel",
-    "parallel_closure",
-    "intrinsic_affine_lines",
     "reconstruct",
     "canonical_map",
 ]
 
 
-def _star_witness(comp: Complement, meets_i: int, meets_j: int, lm_i: int, lm_j: int) -> bool:
-    """Two distinct lines crossing both, meeting each other off the pair."""
-    transversals = meets_i & meets_j
-    if transversals.bit_count() < 2:
-        return False
-    off = ~(lm_i | lm_j)
-    for l1 in bits(transversals):
-        for p in bits(comp.line_trace[l1] & off):
-            if comp.lines_at_point(p) & transversals & ~(1 << l1):
-                return True
-    return False
-
-
-def star_parallel(comp: Complement, k1: int, k2: int) -> bool:
-    """The crossing-configuration relation on two proper lines.
-
-    True iff the lines are disjoint and some two distinct proper lines cross
-    both of them while meeting each other in a point off both.  This is the
-    single-step relation; see :class:`Parallelism` for its closure.
-    """
-    lm1, lm2 = comp.line_trace[k1], comp.line_trace[k2]
-    if lm1 & lm2:
-        return False
-    m1 = 0
-    for p in bits(lm1):
-        m1 |= comp.lines_at_point(p)
-    m2 = 0
-    for p in bits(lm2):
-        m2 |= comp.lines_at_point(p)
-    return _star_witness(comp, m1, m2, lm1, lm2)
-
-
-@dataclass
-class ParallelClasses:
-    """Partition of the (intrinsically) affine lines into parallel classes."""
-
-    class_id: dict[int, int]
-    classes: list[tuple[int, ...]] = field(default_factory=list)
-
-
 class Parallelism:
-    """All intrinsic relations of a complement, precomputed as bit tables."""
+    """All intrinsic relations of a complement, precomputed as bit tables.
+
+    ``star_rows[i]`` holds the lines ``j`` disjoint from ``i`` for which two
+    distinct lines ``t1``, ``t2`` cross both and meet each other in a point
+    ``p`` off ``i`` and ``j``.  The search starts from ``p``.  With ``T`` the
+    lines through ``p``, the lines meeting ``t`` in ``T`` away from ``p`` are
+    ``meets[t] & ~T``, since two lines through ``p`` share no other point.
+    For each pair ``t1``, ``t2`` in ``T`` the set ``C`` of lines meeting both
+    away from ``p`` is crossed by both, so any two disjoint lines of ``C``
+    are related.  Conversely a related pair lies in the ``C`` of its own
+    witness, so the rows are exactly the pairwise relation.
+    """
 
     def __init__(self, comp: Complement):
         self.comp = comp
         n = comp.n_lines
         lm = comp.line_trace
+        # meets[i]: lines sharing a proper point with line i, i included.
         self.meets = [0] * n
         for i in range(n):
             m = 0
@@ -89,14 +61,15 @@ class Parallelism:
             self.meets[i] = m
 
         star = [0] * n
-        for i in range(n):
-            lmi = lm[i]
-            for j in range(i + 1, n):
-                if lmi & lm[j]:
-                    continue
-                if _star_witness(comp, self.meets[i], self.meets[j], lmi, lm[j]):
-                    star[i] |= 1 << j
-                    star[j] |= 1 << i
+        for p in comp.proper_points:
+            through = comp.lines_at_point(p)
+            crossing = [self.meets[t] & ~through for t in bits(through)]
+            for a, c1 in enumerate(crossing):
+                for c2 in crossing[a + 1 :]:
+                    c = c1 & c2
+                    if c & (c - 1):
+                        for i in bits(c):
+                            star[i] |= c & ~self.meets[i]
         self.star_rows = star
 
         parent = list(range(n))
@@ -176,9 +149,6 @@ class Parallelism:
 
     def affine_ids(self) -> list[int]:
         return [k for k in range(self.comp.n_lines) if self._affine[k]]
-
-    def parallel_classes(self) -> ParallelClasses:
-        return ParallelClasses(dict(self.class_id), list(self.classes))
 
     # -- relations on affine lines and classes -------------------------------
 
@@ -264,17 +234,6 @@ class Parallelism:
                     if not (z12 == (lm[m1] & lm[m3]) == (lm[m2] & lm[m3])):
                         return True
         return False
-
-
-def parallel_closure(comp: Complement) -> tuple[list[int], ParallelClasses]:
-    """Relation table and classes of the intrinsic parallelism."""
-    par = Parallelism(comp)
-    return par.table(), par.parallel_classes()
-
-
-def intrinsic_affine_lines(comp: Complement) -> list[int]:
-    """Lines detected as affine from the inside: the self-parallel ones."""
-    return Parallelism(comp).affine_ids()
 
 
 @dataclass

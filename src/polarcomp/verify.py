@@ -211,6 +211,8 @@ def _timed(check_id: str, fn) -> CheckResult:
             witness = witness.get("witness")
     except (LemmaFalsified, IntegrityError, ValueError) as exc:
         status, witness = "fail", {"error": str(exc)}
+    except Exception as exc:  # the battery reports; it never raises
+        status, witness = "fail", {"error": str(exc), "exception": type(exc).__name__}
     return CheckResult(check_id, status, witness, (time.perf_counter() - t0) * 1000.0)
 
 
@@ -242,12 +244,17 @@ def run_lemma_battery(
     pair_cap: int = 500,
     class_limit: int = 40,
     triple_cap: int = 2000,
+    parallelism: Parallelism | None = None,
 ) -> list[CheckResult]:
-    """Run every verified property of the complement; report, never raise."""
+    """Run every verified property of the complement; report, never raise.
+
+    ``parallelism`` may pass in the complement's already built
+    :class:`Parallelism`; otherwise it is built on first use.
+    """
     st = comp.base.structure
     rnd = random.Random(seed)
     results: list[CheckResult] = []
-    par_holder: dict[str, Parallelism] = {}
+    par_holder: dict[str, Parallelism] = {} if parallelism is None else {"par": parallelism}
 
     # Over a hyperplane horizon only the ground-side properties are in scope:
     # recovery is delegated, and the crossing configuration has no room in

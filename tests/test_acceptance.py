@@ -18,7 +18,6 @@ from polarcomp import (
     check_polar_axioms,
     drop_proper_line,
     find_isomorphism,
-    intrinsic_affine_lines,
     is_isomorphism,
     reconstruct,
     run_lemma_battery,
@@ -169,8 +168,8 @@ def test_criterion_06_parallel_tables(suite_configs):
 
 def test_criterion_07_affine_detection(suite_configs):
     problems = []
-    for desc, label, comp, _ in suite_configs:
-        if set(intrinsic_affine_lines(comp)) != set(comp.affine_lines()):
+    for desc, label, comp, par in suite_configs:
+        if set(par.affine_ids()) != set(comp.affine_lines()):
             problems.append((desc, label))
     _report(7, not problems, f"nine configurations{_why(problems)}")
 

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from polarcomp.cli import load_incidence, main
+from polarcomp.reconstruct import Parallelism
 
 
 def run_cli(*argv):
@@ -159,6 +160,28 @@ def test_run_refuses_span_of_everything(capsys):
                    "--tasks", "complement")
     assert code == 3
     assert "whole point set" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "horizon, tasks, builds",
+    [
+        ("point 0", "axioms,complement,lemmas,reconstruct,verify", 1),
+        ("point 0", "axioms,complement", 0),
+        ("perp 0", "lemmas", 0),  # a hyperplane horizon
+    ],
+)
+def test_run_builds_parallelism_at_most_once(tmp_path, monkeypatch, horizon, tasks, builds):
+    calls = []
+    init = Parallelism.__init__
+
+    def counting_init(self, comp):
+        calls.append(comp)
+        init(self, comp)
+
+    monkeypatch.setattr(Parallelism, "__init__", counting_init)
+    assert run_cli("run", "--form", "q+:5:2", "--horizon", horizon,
+                   "--tasks", tasks, "--out", str(tmp_path / "out")) == 0
+    assert len(calls) == builds
 
 
 def test_run_determinism(tmp_path):

@@ -15,13 +15,14 @@ from polarcomp import (
     Parallelism,
     build_complement,
     canonical_map,
-    intrinsic_affine_lines,
+    drop_proper_line,
     is_isomorphism,
-    parallel_closure,
     reconstruct,
-    star_parallel,
+    resolve_horizon,
 )
 from polarcomp.incidence import bits
+
+from oracles import star_parallel, star_table
 
 
 # ---------------------------------------------------------------------------
@@ -47,6 +48,24 @@ def test_star_is_irreflexive_on_meeting_lines(comp_point, par_point):
             assert not star_parallel(comp_point, k, l)
 
 
+@pytest.mark.parametrize(
+    "spec", ["point 0", "line 0", "span", "meet perp 0 perp 3", "plane 0", ""]
+)
+@pytest.mark.parametrize("space", ["sp62", "q52", "q62"])
+def test_star_rows_match_pairwise_oracle(space, spec, request):
+    ps = request.getfixturevalue(space)
+    if spec == "span":
+        st = ps.structure
+        spec = f"span 0,{next(j for j in range(1, st.n_points) if not st.collinear(0, j))}"
+    comp = build_complement(ps, resolve_horizon(ps, spec))
+    for c in (comp, drop_proper_line(comp, 0)):
+        assert Parallelism(c).star_rows == star_table(c)
+
+
+def test_star_rows_match_pairwise_oracle_q53(comp_q53_lperp, par_q53):
+    assert par_q53.star_rows == star_table(comp_q53_lperp)
+
+
 def test_point_horizon_single_class(comp_point, par_point):
     assert par_point.n_classes == 1
     assert par_point.classes == [tuple(comp_point.affine_lines())]
@@ -60,14 +79,6 @@ def test_point_horizon_single_class(comp_point, par_point):
 def test_affine_detection_matches_ground(comp_point, comp_line, par_point, par_line):
     assert set(par_point.affine_ids()) == set(comp_point.affine_lines())
     assert set(par_line.affine_ids()) == set(comp_line.affine_lines())
-    assert intrinsic_affine_lines(comp_point) == par_point.affine_ids()
-
-
-def test_parallel_closure_wrapper(comp_line, par_line):
-    table, classes = parallel_closure(comp_line)
-    assert table == par_line.table()
-    assert classes.classes == par_line.classes
-    assert classes.class_id == par_line.class_id
 
 
 def test_line_horizon_classes(comp_line, par_line):

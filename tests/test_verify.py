@@ -5,7 +5,9 @@ import random
 import pytest
 
 from polarcomp import (
+    Complement,
     IncidenceStructure,
+    LemmaFalsified,
     drop_proper_line,
     find_isomorphism,
     is_isomorphism,
@@ -190,6 +192,27 @@ def test_battery_flags_perp_meet_divergence(sp62):
     # the ground-side properties still hold there
     passed = {r.check_id for r in results if r.status == "pass"}
     assert {"deep_points", "avoiding_hyperplane", "plane_chains"} <= passed
+
+
+@pytest.mark.parametrize(
+    "exc, witness",
+    [
+        (KeyError(7), {"error": "7", "exception": "KeyError"}),
+        (IndexError("out"), {"error": "out", "exception": "IndexError"}),
+        (ValueError("bad"), {"error": "bad"}),
+        (LemmaFalsified("no"), {"error": "no"}),
+    ],
+)
+def test_battery_reports_any_exception(comp_point, monkeypatch, exc, witness):
+    def broken(self):
+        raise exc
+
+    monkeypatch.setattr(Complement, "deep_lines", broken)
+    results = {r.check_id: r for r in run_lemma_battery(comp_point, seed=0)}
+    assert list(results) == BATTERY_IDS
+    for check_id in ("deep_line_equivalence", "new_line_families"):
+        assert results[check_id].status == "fail"
+        assert results[check_id].witness == witness
 
 
 def test_check_result_serialization():
