@@ -1,6 +1,6 @@
 """Polar spaces over small fields, subspace complements, and reconstruction."""
 
-from .algebra import GF, FieldElement, dot, normalize_point, pg_line, pg_points
+from .algebra import GF, FieldElement, normalize_point, pg_line, pg_points
 from .complement import (
     Complement,
     PlaneRecord,
@@ -34,7 +34,6 @@ __all__ = [
     "normalize_point",
     "pg_points",
     "pg_line",
-    "dot",
     "IncidenceStructure",
     "bits",
     "mask_of",

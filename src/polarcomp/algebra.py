@@ -21,7 +21,6 @@ __all__ = [
     "normalize_point",
     "pg_points",
     "pg_line",
-    "dot",
 ]
 
 MAX_ORDER = 16
@@ -387,11 +386,3 @@ def pg_line(field: GF, a: tuple[int, ...], b: tuple[int, ...]) -> frozenset[tupl
     for t in range(field.q):
         pts.add(normalize_point(field, tuple(field.add(field.mul(t, x), y) for x, y in zip(a, b))))
     return frozenset(pts)
-
-
-def dot(field: GF, u: Sequence[int], v: Sequence[int]) -> int:
-    """Ordinary bilinear dot product of two coordinate vectors."""
-    acc = 0
-    for x, y in zip(u, v):
-        acc = field.add(acc, field.mul(x, y))
-    return acc

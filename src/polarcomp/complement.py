@@ -135,12 +135,18 @@ class Complement:
     def plane_lines(self, pi: int) -> int:
         """Bitmask of proper line ids whose trace lies inside plane ``pi``."""
         if self._plane_lines is None:
+            # A proper trace inside a plane has at least two points, so its
+            # whole base line lies in the plane: look lines up from the points.
+            st = self.base.structure
+            proper_id = {b: k for k, b in enumerate(self.line_closure)}
             self._plane_lines = []
             for rec in self.planes():
                 m = 0
-                for k, trace in enumerate(self.line_trace):
-                    if not trace & ~rec.closure:
-                        m |= 1 << k
+                for p in bits(rec.closure):
+                    for b in st.lines_at(p):
+                        k = proper_id.get(b)
+                        if k is not None and not st.line_masks[b] & ~rec.closure:
+                            m |= 1 << k
                 self._plane_lines.append(m)
         return self._plane_lines[pi]
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .algebra import GF, normalize_point, pg_line, pg_points
+from .algebra import GF, pg_line, pg_points
 from .errors import ConfigurationError
 from .incidence import IncidenceStructure, bits, mask_of
 
@@ -241,7 +241,6 @@ class PolarSpace:
     ):
         self.form = form
         self.points = points
-        self.point_index = {p: i for i, p in enumerate(points)}
         self.structure = structure
         self.rank = rank
         self.ambient_dim = form.dim - 1
@@ -255,13 +254,19 @@ class PolarSpace:
         if not pts:
             raise ConfigurationError("the form admits no singular points")
         index = {p: i for i, p in enumerate(pts)}
-        line_set = set()
+        # joined[i]: points already on a found line through point i, so each
+        # line is built once, from its first orthogonal pair.
+        joined = [1 << i for i in range(len(pts))]
+        lines = []
         for i in range(len(pts)):
             for j in range(i + 1, len(pts)):
-                if form.pair_perp(pts[i], pts[j]):
+                if not (joined[i] >> j) & 1 and form.pair_perp(pts[i], pts[j]):
                     line = tuple(sorted(index[p] for p in pg_line(field, pts[i], pts[j])))
-                    line_set.add(line)
-        st = IncidenceStructure(len(pts), sorted(line_set))
+                    m = mask_of(line)
+                    for p in line:
+                        joined[p] |= m
+                    lines.append(line)
+        st = IncidenceStructure(len(pts), sorted(lines))
         for p in range(st.n_points):
             if st.adj[p] == st.full_mask:
                 raise ConfigurationError(
@@ -273,21 +278,6 @@ class PolarSpace:
         """Orthogonality of two points straight from the form."""
         return self.form.pair_perp(self.points[a], self.points[b])
 
-    def _span3_mask(self, a: tuple[int, ...], b: tuple[int, ...], c: tuple[int, ...]) -> int:
-        f = self.form.field
-        mask = 0
-        for s in range(f.q):
-            for t in range(f.q):
-                for u in range(f.q):
-                    if s == 0 and t == 0 and u == 0:
-                        continue
-                    vec = tuple(
-                        f.add(f.add(f.mul(s, x), f.mul(t, y)), f.mul(u, z))
-                        for x, y, z in zip(a, b, c)
-                    )
-                    mask |= 1 << self.point_index[normalize_point(f, vec)]
-        return mask
-
     def singular_planes(self) -> list[int]:
         """Masks of all singular planes, empty when the rank is below 3."""
         if self._planes is None:
@@ -296,11 +286,18 @@ class PolarSpace:
             else:
                 st = self.structure
                 seen = set()
-                for li, line in enumerate(st.lines):
-                    a, b = self.points[line[0]], self.points[line[1]]
-                    lperp = st.set_perp(st.line_masks[li]) & ~st.line_masks[li]
-                    for x in bits(lperp):
-                        seen.add(self._span3_mask(a, b, self.points[x]))
+                for li, lm in enumerate(st.line_masks):
+                    # The plane on L and x in L's perp is L plus the lines
+                    # joining x to the points of L.
+                    covered = lm
+                    for x in bits(st.set_perp(lm) & ~covered):
+                        if (covered >> x) & 1:
+                            continue
+                        plane = lm
+                        for p in st.lines[li]:
+                            plane |= st.line_masks[st.line_through(x, p)]
+                        covered |= plane
+                        seen.add(plane)
                 self._planes = sorted(seen, key=lambda m: tuple(bits(m)))
         return self._planes
 

@@ -4,7 +4,54 @@ These follow the definitions pair by pair and are far too slow for larger
 spaces; the tests use them only as oracles.
 """
 
+from polarcomp.algebra import normalize_point
 from polarcomp.incidence import bits
+
+
+def _span3_mask(ps, index, a, b, c):
+    """Points of the projective plane spanned by three coordinate vectors."""
+    f = ps.form.field
+    mask = 0
+    for s in range(f.q):
+        for t in range(f.q):
+            for u in range(f.q):
+                if s == 0 and t == 0 and u == 0:
+                    continue
+                vec = tuple(
+                    f.add(f.add(f.mul(s, x), f.mul(t, y)), f.mul(u, z))
+                    for x, y, z in zip(a, b, c)
+                )
+                mask |= 1 << index[normalize_point(f, vec)]
+    return mask
+
+
+def span_planes(ps):
+    """Singular planes as coordinate spans of a line and each point of its perp.
+
+    Sorted like :meth:`PolarSpace.singular_planes`, so plane ids agree.
+    """
+    if ps.rank < 3:
+        return []
+    st = ps.structure
+    index = {p: i for i, p in enumerate(ps.points)}
+    seen = set()
+    for li, line in enumerate(st.lines):
+        a, b = ps.points[line[0]], ps.points[line[1]]
+        for x in bits(st.set_perp(st.line_masks[li]) & ~st.line_masks[li]):
+            seen.add(_span3_mask(ps, index, a, b, ps.points[x]))
+    return sorted(seen, key=lambda m: tuple(bits(m)))
+
+
+def plane_lines_scan(comp):
+    """Row ``pi``: proper line ids whose trace lies in plane ``pi``, line by line."""
+    rows = []
+    for rec in comp.planes():
+        m = 0
+        for k, trace in enumerate(comp.line_trace):
+            if not trace & ~rec.closure:
+                m |= 1 << k
+        rows.append(m)
+    return rows
 
 
 def _meets(comp, k):

@@ -7,7 +7,7 @@ down the choice of modulus on top.
 
 import pytest
 
-from polarcomp import GF, FieldElement, dot, normalize_point, pg_line, pg_points
+from polarcomp import GF, FieldElement, normalize_point, pg_line, pg_points
 
 ORDERS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16]
 
@@ -275,12 +275,3 @@ def test_pg_line_accepts_unnormalized_input(gf3):
 def test_pg_line_rejects_equal_points(gf2):
     with pytest.raises(ValueError):
         pg_line(gf2, (1, 0), (1, 0))
-
-
-def test_dot(gf2, gf3):
-    assert dot(gf2, (1, 1, 0), (1, 1, 1)) == 0
-    assert dot(gf2, (1, 0, 0), (1, 1, 1)) == 1
-    assert dot(gf3, (1, 2), (2, 2)) == 0
-    for u in ((0, 1, 2), (2, 2, 1)):
-        for v in ((1, 1, 1), (0, 2, 1)):
-            assert dot(gf3, u, v) == dot(gf3, v, u)

@@ -1,5 +1,6 @@
 """Command-line behavior: payloads, exit codes, determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -218,6 +219,37 @@ def test_run_suite_layout(tmp_path):
         horizons = sorted(p.name for p in (base / space).iterdir())
         assert len(horizons) == 3
         assert "point_0" in horizons and "line_0" in horizons
+
+
+# SHA-256 over the `run --suite` output tree: for each file in sorted
+# relative-path order, its POSIX path, a NUL, its own SHA-256 hex digest and
+# a newline.
+SUITE_DIGEST = "e27f75d4b296ef74a9aeef248c8fb2e67541457184aac474195c5c2fdb4910bc"
+
+
+def tree_digest(root):
+    h = hashlib.sha256()
+    for p in sorted(q for q in root.rglob("*") if q.is_file()):
+        h.update(p.relative_to(root).as_posix().encode() + b"\0")
+        h.update(hashlib.sha256(p.read_bytes()).hexdigest().encode() + b"\n")
+    return h.hexdigest()
+
+
+def test_run_suite_output_is_pinned(tmp_path):
+    base = tmp_path / "suite"
+    assert run_cli("run", "--suite", "--out", str(base)) == 0
+    assert len([p for p in base.rglob("*") if p.is_file()]) == 45
+    assert tree_digest(base) == SUITE_DIGEST
+
+
+def test_run_larger_space_axioms_and_complement(tmp_path):
+    out = tmp_path / "sp63"
+    assert run_cli("run", "--form", "sp:6:3", "--horizon", "point 0",
+                   "--tasks", "axioms,complement", "--out", str(out)) == 0
+    assert read(out / "axioms.json")["all_ok"] is True
+    comp = read(out / "complement.json")
+    assert comp["n_planes"] == 1120
+    assert comp["n_proper_points"] == 363
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from polarcomp import (
     resolve_horizon,
 )
 from polarcomp.incidence import bits, mask_of
+from oracles import plane_lines_scan
 
 
 def test_point_horizon_counts(comp_point):
@@ -106,6 +107,23 @@ def test_planes_and_semiaffine(comp_point):
     others = set(range(135)) - set(semi)
     with pytest.raises(ValueError):
         comp_point.plane_horizon(next(iter(others)))
+
+
+@pytest.mark.parametrize("space", ["sp62", "q62", "q53"])
+@pytest.mark.parametrize("spec", ["point 0", "line 0", "plane 0", "perp 0", "span"])
+def test_plane_lines_match_scan_oracle(space, spec, request):
+    ps = request.getfixturevalue(space)
+    if spec == "span":
+        b = next(j for j in range(1, ps.structure.n_points) if not ps.structure.collinear(0, j))
+        spec = f"span 0,{b}"
+    comp = build_complement(ps, resolve_horizon(ps, spec))
+    rows = [comp.plane_lines(pi) for pi in range(len(comp.planes()))]
+    assert rows == plane_lines_scan(comp)
+    # drop a line that lies in a plane, so the rows lose it
+    k = next(bits(next(r for r in rows if r)))
+    dropped = drop_proper_line(comp, k)
+    rows = [dropped.plane_lines(pi) for pi in range(len(dropped.planes()))]
+    assert rows == plane_lines_scan(dropped)
 
 
 def test_plane_horizon_sizes_on_a_line_horizon(comp_line):

@@ -22,6 +22,10 @@ from polarcomp import (
     parabolic_form,
     symplectic_form,
 )
+from polarcomp import polar as polar_module
+from polarcomp.cli import parse_form
+from polarcomp.incidence import bits
+from oracles import span_planes
 
 
 def test_sp62_counts(sp62):
@@ -66,6 +70,54 @@ def test_elliptic_72_counts(gf2):
     assert ps.structure.n_points == 119
     assert len(ps.structure.lines) == 1071
     assert ps.rank == 3
+
+
+@pytest.mark.parametrize("desc", ["sp:6:2", "q+:5:2", "q:6:2", "q+:5:3", "q-:7:2"])
+def test_singular_planes_match_span_oracle(desc):
+    ps = build_polar(parse_form(desc))
+    assert ps.singular_planes() == span_planes(ps)
+
+
+def _is_singular_plane(st, plane, q):
+    """``q^2+q+1`` pairwise collinear points meeting every line in 0, 1 or all."""
+    if plane.bit_count() != q * q + q + 1:
+        return False
+    for p in bits(plane):
+        if plane & ~st.adj[p]:
+            return False
+        for i in st.lines_at(p):
+            m = st.line_masks[i]
+            if m & ~plane and (m & plane).bit_count() > 1:
+                return False
+    return True
+
+
+@pytest.mark.parametrize(
+    "desc, q, n_planes",
+    [
+        ("sp:6:3", 3, 1120),  # (q+1)(q^2+1)(q^3+1)
+        ("herm:5:4", 4, 891),  # (r+1)(r^3+1)(r^5+1) with r^2 = q = 4
+    ],
+)
+def test_singular_planes_of_larger_spaces(desc, q, n_planes):
+    ps = build_polar(parse_form(desc))
+    planes = ps.singular_planes()
+    assert len(planes) == n_planes
+    assert len(set(planes)) == n_planes
+    assert all(_is_singular_plane(ps.structure, m, q) for m in planes)
+
+
+def test_from_form_builds_each_line_once(gf3, monkeypatch):
+    calls = []
+    original = polar_module.pg_line
+
+    def counting_pg_line(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(polar_module, "pg_line", counting_pg_line)
+    ps = build_polar(hyperbolic_form(5, gf3))
+    assert len(calls) == len(ps.structure.lines) == 520
 
 
 def test_hermitian_gq(gf4):
