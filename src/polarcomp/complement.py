@@ -30,11 +30,9 @@ __all__ = [
 
 
 class PlaneRecord(NamedTuple):
-    """A singular base plane not inside the horizon, split along it."""
+    """A singular base plane not inside the horizon."""
 
     closure: int
-    proper: int
-    horizon: int
 
 
 class Complement:
@@ -80,6 +78,8 @@ class Complement:
         self._planes: list[PlaneRecord] | None = None
         self._plane_lines: list[int] | None = None
         self._semiaffine: list[int] | None = None
+        self._over_horizon: list[int] | None = None
+        self._plane_graph: tuple[list[int], dict[int, int]] | None = None
         self._structure: IncidenceStructure | None = None
 
     # -- lines and parallelism --------------------------------------------
@@ -115,20 +115,14 @@ class Complement:
 
     def deep_points(self) -> int:
         """Horizon points that no proper line reaches."""
-        covered = 0
-        for inf in self._infinity:
-            if inf is not None:
-                covered |= 1 << inf
-        return self.horizon & ~covered
+        return self.horizon & ~mask_of(inf for inf in self._infinity if inf is not None)
 
     # -- planes --------------------------------------------------------------
 
     def planes(self) -> list[PlaneRecord]:
         if self._planes is None:
             self._planes = [
-                PlaneRecord(m, m & self.proper_mask, m & self.horizon)
-                for m in self.base.singular_planes()
-                if m & self.proper_mask
+                PlaneRecord(m) for m in self.base.singular_planes() if m & self.proper_mask
             ]
         return self._planes
 
@@ -153,29 +147,23 @@ class Complement:
     def semiaffine_planes(self) -> list[int]:
         """Ids of planes containing at least one affine line."""
         if self._semiaffine is None:
-            out = []
-            for pi in range(len(self.planes())):
-                if any(self._infinity[k] is not None for k in bits(self.plane_lines(pi))):
-                    out.append(pi)
-            self._semiaffine = out
+            self._semiaffine = [
+                pi for pi in range(len(self.planes()))
+                if any(self._infinity[k] is not None for k in bits(self.plane_lines(pi)))
+            ]
         return self._semiaffine
 
     def plane_horizon(self, pi: int) -> int:
         """Points at infinity realized by the affine lines inside a plane."""
-        out = 0
-        for k in bits(self.plane_lines(pi)):
-            inf = self._infinity[k]
-            if inf is not None:
-                out |= 1 << inf
+        infs = (self._infinity[k] for k in bits(self.plane_lines(pi)))
+        out = mask_of(inf for inf in infs if inf is not None)
         if out == 0:
             raise ValueError(f"plane {pi} is not semiaffine")
         return out
 
     def deep_lines(self) -> list[int]:
         """Base ids of horizon lines that are no plane's set of infinities."""
-        realized = set()
-        for pi in self.semiaffine_planes():
-            realized.add(self.plane_horizon(pi))
+        realized = {self.plane_horizon(pi) for pi in self.semiaffine_planes()}
         st = self.base.structure
         return [k for k in self.horizon_line_ids if st.line_masks[k] not in realized]
 
@@ -191,13 +179,17 @@ class Complement:
     def avoiding_hyperplane(self, k: int, l: int) -> int:
         """A candidate hyperplane over the horizon avoiding both closures."""
         self._require_parallel_pair(k, l)
-        st = self.base.structure
-        if st.is_hyperplane(self.horizon):
-            return self.horizon
-        km = st.line_masks[self.line_closure[k]]
-        lm = st.line_masks[self.line_closure[l]]
-        for h in self.base.hyperplane_candidates():
-            if not self.horizon & ~h and km & ~h and lm & ~h:
+        if self._over_horizon is None:
+            # A hyperplane horizon avoids every closure, since each has a proper point.
+            h = self.horizon
+            self._over_horizon = (
+                [h] if self.base.structure.is_hyperplane(h)
+                else [c for c in self.base.hyperplane_candidates() if not h & ~c]
+            )
+        km = self.base.structure.line_masks[self.line_closure[k]]
+        lm = self.base.structure.line_masks[self.line_closure[l]]
+        for h in self._over_horizon:
+            if km & ~h and lm & ~h:
                 return h
         raise LemmaFalsified(
             f"no candidate hyperplane over the horizon avoids the closures of lines {k} and {l}"
@@ -208,28 +200,38 @@ class Complement:
 
         Nodes are planes whose closure contains the shared point at infinity;
         consecutive planes share a proper line; the first contains ``k`` and
-        the last contains ``l``.
+        the last contains ``l``.  Breadth first, neighbours in ascending id.
         """
         a = self._require_parallel_pair(k, l)
-        nodes = [pi for pi in range(len(self.planes())) if (self.planes()[pi].closure >> a) & 1]
-        starts = [pi for pi in nodes if (self.plane_lines(pi) >> k) & 1]
-        targets = {pi for pi in nodes if (self.plane_lines(pi) >> l) & 1}
-        parent: dict[int, int | None] = {pi: None for pi in starts}
-        queue = list(starts)
-        qi = 0
-        while qi < len(queue):
-            pi = queue[qi]
-            qi += 1
-            if pi in targets:
+        if self._plane_graph is None:
+            line_planes = [0] * self.n_lines
+            at_infinity: dict[int, int] = {}
+            for pi, rec in enumerate(self.planes()):
+                for j in bits(self.plane_lines(pi)):
+                    line_planes[j] |= 1 << pi
+                for d in bits(rec.closure & self.horizon):
+                    at_infinity[d] = at_infinity.get(d, 0) | (1 << pi)
+            self._plane_graph = line_planes, at_infinity
+        line_planes, at_infinity = self._plane_graph
+        nodes = at_infinity.get(a, 0)
+        targets = nodes & line_planes[l]
+        seen = nodes & line_planes[k]
+        parent: dict[int, int | None] = {pi: None for pi in bits(seen)}
+        queue = list(parent)
+        for pi in queue:
+            if (targets >> pi) & 1:
                 path = [pi]
                 while parent[path[-1]] is not None:
                     path.append(parent[path[-1]])  # type: ignore[arg-type]
-                path.reverse()
-                return path
-            for pj in nodes:
-                if pj not in parent and self.plane_lines(pi) & self.plane_lines(pj):
-                    parent[pj] = pi
-                    queue.append(pj)
+                return path[::-1]
+            step = 0
+            for j in bits(self.plane_lines(pi)):
+                step |= line_planes[j]
+            step &= nodes & ~seen
+            seen |= step
+            for pj in bits(step):
+                parent[pj] = pi
+                queue.append(pj)
         raise LemmaFalsified(
             f"no plane chain joins lines {k} and {l} through their point at infinity"
         )

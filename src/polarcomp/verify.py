@@ -11,10 +11,11 @@ import random
 import time
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 
 from .complement import Complement
 from .errors import IntegrityError, LemmaFalsified
-from .incidence import IncidenceStructure, bits
+from .incidence import IncidenceStructure, bits, mask_of
 from .polar import _partial_linear_witness
 from .reconstruct import Parallelism, canonical_map, reconstruct
 
@@ -137,61 +138,54 @@ def find_isomorphism(a: IncidenceStructure, b: IncidenceStructure) -> dict[int, 
 
     # Static assignment order: most-constrained first, preferring points
     # attached to already-ordered ones.
+    attached = [0] * a.n_points
+    unplaced = set(range(a.n_points))
     order: list[int] = []
-    placed = [False] * a.n_points
     for _ in range(a.n_points):
-        best = None
-        best_key = None
-        for p in range(a.n_points):
-            if placed[p]:
-                continue
-            attached = sum(1 for q in order if (a.adj[p] >> q) & 1)
-            key = (-attached, len(by_color.get(ca[p], ())), p)
-            if best_key is None or key < best_key:
-                best, best_key = p, key
-        order.append(best)  # type: ignore[arg-type]
-        placed[best] = True  # type: ignore[index]
+        best = min(unplaced, key=lambda p: (-attached[p], len(by_color[ca[p]]), p))
+        order.append(best)
+        unplaced.discard(best)
+        for q in bits(a.adj[best]):
+            attached[q] += 1
 
     pos = {p: i for i, p in enumerate(order)}
     # Lines become checkable once their last point (in assignment order) maps.
     trigger: list[list[int]] = [[] for _ in range(a.n_points)]
     for i, line in enumerate(a.lines):
-        last = max(line, key=lambda p: pos[p])
-        trigger[last].append(i)
+        trigger[max(line, key=pos.__getitem__)].append(i)
     b_lines = set(b.lines)
 
+    # Depth-first over candidates in id order, on an explicit stack: cursor[d]
+    # is the next candidate index for order[d], image[p] its current choice.
     image = [-1] * a.n_points
-    used = [False] * b.n_points
-
-    def attempt(depth: int) -> bool:
-        if depth == a.n_points:
-            return True
+    used_mask = 0
+    cursor = [0] * a.n_points
+    depth = 0
+    while 0 <= depth < a.n_points:
         p = order[depth]
-        for v in by_color.get(ca[p], ()):
-            if used[v] or cb[v] != ca[p]:
-                continue
-            ok = True
-            for q in order[:depth]:
-                if ((a.adj[p] >> q) & 1) != ((b.adj[v] >> image[q]) & 1):
-                    ok = False
-                    break
-            if not ok:
+        if image[p] >= 0:  # back from a dead end below: undo the choice
+            used_mask ^= 1 << image[p]
+            image[p] = -1
+        # Images of p's already-placed neighbours; a candidate must be
+        # adjacent to exactly these among the used images.
+        want = mask_of(image[q] for q in bits(a.adj[p]) if image[q] >= 0)
+        cands = by_color[ca[p]]
+        while cursor[depth] < len(cands):
+            v = cands[cursor[depth]]
+            cursor[depth] += 1
+            if (used_mask >> v) & 1 or b.adj[v] & used_mask != want:
                 continue
             image[p] = v
-            used[v] = True
-            complete = True
-            for li in trigger[p]:
-                img = tuple(sorted(image[x] for x in a.lines[li]))
-                if img not in b_lines:
-                    complete = False
-                    break
-            if complete and attempt(depth + 1):
-                return True
+            if all(tuple(sorted(image[x] for x in a.lines[li])) in b_lines for li in trigger[p]):
+                used_mask |= 1 << v
+                depth += 1
+                break
             image[p] = -1
-            used[v] = False
-        return False
+        else:
+            cursor[depth] = 0
+            depth -= 1
 
-    if not attempt(0):
+    if depth < 0:
         return None
     mapping = {p: image[p] for p in range(a.n_points)}
     ok, _ = is_isomorphism(a, b, mapping)
@@ -272,18 +266,22 @@ def run_lemma_battery(
 
     def check_affine_fibration() -> dict | None:
         w = comp.horizon
-        closures = [st.line_masks[b] for b in comp.line_closure]
-        for k, cm in enumerate(closures):
-            cnt = (cm & w).bit_count()
+        # Ground fibres: closures meeting the horizon in the same point.
+        meets = [st.line_masks[b] & w for b in comp.line_closure]
+        fibres: dict[int, int] = {}
+        for k, m in enumerate(meets):
+            cnt = m.bit_count()
             if cnt > 1:
                 return {"line": k, "reason": f"closure meets the horizon in {cnt} points"}
             if (cnt == 1) != comp.is_affine(k):
                 return {"line": k, "reason": "affine flag disagrees with the closure"}
-        for k in range(comp.n_lines):
-            for l in range(k, comp.n_lines):
-                ground = bool(closures[k] & closures[l] & w)
-                if ground != comp.horizon_parallel(k, l):
-                    return {"lines": [k, l], "reason": "parallel table disagrees with closures"}
+            fibres[m] = fibres.get(m, 0) | (1 << k)
+        fibres[0] = 0  # a closure missing the horizon is parallel to nothing
+        for k, row in enumerate(comp.parallel_table()):
+            diff = (fibres[meets[k]] ^ row) >> k
+            if diff:
+                l = k + (diff & -diff).bit_length() - 1
+                return {"lines": [k, l], "reason": "parallel table disagrees with closures"}
         return None
 
     def check_deep_points() -> dict | None:
@@ -316,6 +314,7 @@ def run_lemma_battery(
         return pairs
 
     def check_avoiding_hyperplane() -> dict | None:
+        is_hyperplane = cache(st.is_hyperplane)
         for k, l in parallel_pairs():
             h = comp.avoiding_hyperplane(k, l)
             km = st.line_masks[comp.line_closure[k]]
@@ -324,7 +323,7 @@ def run_lemma_battery(
                 return {"lines": [k, l], "reason": "hyperplane does not contain the horizon"}
             if not km & ~h or not lm & ~h:
                 return {"lines": [k, l], "reason": "hyperplane contains a closure"}
-            if not st.is_hyperplane(h):
+            if not is_hyperplane(h):
                 return {"lines": [k, l], "reason": "candidate is not a hyperplane"}
         return None
 
@@ -492,9 +491,7 @@ def run_lemma_battery(
         for group in prime:
             if len(group) != q + 1:
                 return {"set": list(group), "reason": f"expected {q + 1} classes"}
-            dmask = 0
-            for c in group:
-                dmask |= 1 << dirs[c]
+            dmask = mask_of(dirs[c] for c in group)
             if dmask not in deep_masks:
                 return {"set": list(group), "reason": "directions are not a deep line"}
             li = deep_masks[dmask]
@@ -526,9 +523,7 @@ def run_lemma_battery(
             return dirs
         if len(set(dirs)) != len(dirs):
             return {"reason": "two classes share a direction"}
-        covered = 0
-        for d in dirs:
-            covered |= 1 << d
+        covered = mask_of(dirs)
         expected = comp.horizon & ~comp.deep_points()
         if covered != expected:
             return {

@@ -98,3 +98,39 @@ def star_table(comp):
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
     return rows
+
+
+def plane_path_scan(comp, k, l):
+    """Breadth-first plane chain from ``k`` to ``l``, testing every node pair.
+
+    Nodes are the planes through the common point at infinity, taken in id
+    order; None when no chain exists.
+    """
+    a = comp.point_at_infinity(k)
+    rows = [comp.plane_lines(pi) for pi in range(len(comp.planes()))]
+    nodes = [pi for pi, rec in enumerate(comp.planes()) if (rec.closure >> a) & 1]
+    parent = {pi: None for pi in nodes if (rows[pi] >> k) & 1}
+    queue = list(parent)
+    for pi in queue:
+        if (rows[pi] >> l) & 1:
+            path = [pi]
+            while parent[path[-1]] is not None:
+                path.append(parent[path[-1]])
+            return path[::-1]
+        for pj in nodes:
+            if pj not in parent and rows[pi] & rows[pj]:
+                parent[pj] = pi
+                queue.append(pj)
+    return None
+
+
+def fibration_mismatch(comp):
+    """First pair ``[k, l]``, ``k <= l``, whose closures' meeting in the horizon
+    disagrees with :meth:`Complement.horizon_parallel`; None if all agree."""
+    st = comp.base.structure
+    closures = [st.line_masks[b] for b in comp.line_closure]
+    for k in range(comp.n_lines):
+        for l in range(k, comp.n_lines):
+            if bool(closures[k] & closures[l] & comp.horizon) != comp.horizon_parallel(k, l):
+                return [k, l]
+    return None

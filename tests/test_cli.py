@@ -242,14 +242,17 @@ def test_run_suite_output_is_pinned(tmp_path):
     assert tree_digest(base) == SUITE_DIGEST
 
 
-def test_run_larger_space_axioms_and_complement(tmp_path):
+def test_run_larger_space_full_pipeline(tmp_path):
     out = tmp_path / "sp63"
-    assert run_cli("run", "--form", "sp:6:3", "--horizon", "point 0",
-                   "--tasks", "axioms,complement", "--out", str(out)) == 0
+    assert run_cli("run", "--form", "sp:6:3", "--horizon", "point 0", "--out", str(out)) == 0
     assert read(out / "axioms.json")["all_ok"] is True
     comp = read(out / "complement.json")
     assert comp["n_planes"] == 1120
     assert comp["n_proper_points"] == 363
+    assert read(out / "lemma_battery.json")["failed"] == 0
+    ver = read(out / "verification.json")
+    assert ver["canonical_isomorphism"] is True
+    assert ver["independent_search"]["found"] is True
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from polarcomp import (
     resolve_horizon,
 )
 from polarcomp.incidence import bits, mask_of
-from oracles import plane_lines_scan
+from oracles import plane_lines_scan, plane_path_scan
 
 
 def test_point_horizon_counts(comp_point):
@@ -97,9 +97,7 @@ def test_lines_at_point(comp_point):
 def test_planes_and_semiaffine(comp_point):
     recs = comp_point.planes()
     assert len(recs) == 135
-    for rec in recs:
-        assert rec.proper == rec.closure & comp_point.proper_mask
-        assert rec.horizon == rec.closure & comp_point.horizon
+    assert all(rec.closure & comp_point.proper_mask for rec in recs)
     semi = comp_point.semiaffine_planes()
     assert len(semi) == 15  # the planes over the removed point
     for pi in semi:
@@ -109,14 +107,23 @@ def test_planes_and_semiaffine(comp_point):
         comp_point.plane_horizon(next(iter(others)))
 
 
+def _horizon(ps, spec):
+    """A horizon by spec; ``span`` joins point 0 to its first noncollinear
+    point, ``line-perp`` is the perp of line 0."""
+    st = ps.structure
+    if spec == "span":
+        b = next(j for j in range(1, st.n_points) if not st.collinear(0, j))
+        return resolve_horizon(ps, f"span 0,{b}")
+    if spec == "line-perp":
+        return st.set_perp(st.line_masks[0])
+    return resolve_horizon(ps, spec)
+
+
 @pytest.mark.parametrize("space", ["sp62", "q62", "q53"])
 @pytest.mark.parametrize("spec", ["point 0", "line 0", "plane 0", "perp 0", "span"])
 def test_plane_lines_match_scan_oracle(space, spec, request):
     ps = request.getfixturevalue(space)
-    if spec == "span":
-        b = next(j for j in range(1, ps.structure.n_points) if not ps.structure.collinear(0, j))
-        spec = f"span 0,{b}"
-    comp = build_complement(ps, resolve_horizon(ps, spec))
+    comp = build_complement(ps, _horizon(ps, spec))
     rows = [comp.plane_lines(pi) for pi in range(len(comp.planes()))]
     assert rows == plane_lines_scan(comp)
     # drop a line that lies in a plane, so the rows lose it
@@ -177,6 +184,45 @@ def test_plane_path(comp_point):
             assert comp_point.plane_lines(pi) & comp_point.plane_lines(pj)
     assert 1 in lengths  # coplanar pairs exist
     assert any(n >= 2 for n in lengths)  # and noncoplanar ones need a chain
+
+
+PAIR_CASES = [
+    (space, spec) for space in ("sp62", "q52", "q62") for spec in ("point 0", "line 0", "span")
+] + [("q53", "line-perp")]
+
+
+def _pair_complements(space, spec, request):
+    """The complement, and a copy with its first affine line dropped."""
+    ps = request.getfixturevalue(space)
+    comp = build_complement(ps, _horizon(ps, spec))
+    return comp, drop_proper_line(comp, comp.affine_lines()[0])
+
+
+def _parallel_pairs(comp):
+    return [(k, l) for k in comp.affine_lines() for l in comp.affine_lines()
+            if k < l and comp.horizon_parallel(k, l)]
+
+
+@pytest.mark.parametrize("space,spec", PAIR_CASES)
+def test_plane_path_matches_scan_oracle(space, spec, request):
+    for comp in _pair_complements(space, spec, request):
+        pairs = _parallel_pairs(comp)
+        assert pairs
+        for k, l in pairs:
+            try:
+                path = comp.plane_path(k, l)
+            except LemmaFalsified:
+                path = None
+            assert path == plane_path_scan(comp, k, l), (k, l)
+
+
+@pytest.mark.parametrize("space,spec", PAIR_CASES)
+def test_parallel_table_matches_horizon_parallel(space, spec, request):
+    for comp in _pair_complements(space, spec, request):
+        table = comp.parallel_table()
+        for k in range(comp.n_lines):
+            for l in range(comp.n_lines):
+                assert bool((table[k] >> l) & 1) == comp.horizon_parallel(k, l), (k, l)
 
 
 def test_structure_reindexes(comp_point):

@@ -1,6 +1,10 @@
 """Isomorphism checking, the independent search, and the check battery."""
 
+import copy
+import hashlib
+import json
 import random
+import sys
 
 import pytest
 
@@ -11,9 +15,12 @@ from polarcomp import (
     drop_proper_line,
     find_isomorphism,
     is_isomorphism,
+    reconstruct,
     run_lemma_battery,
 )
+from polarcomp.incidence import bits
 from polarcomp.verify import CheckResult
+from oracles import fibration_mismatch
 
 BATTERY_IDS = [
     "partial_linear",
@@ -132,6 +139,22 @@ def test_find_isomorphism_small_negatives():
     assert m is not None and is_isomorphism(chain, chain, m)[0]
 
 
+def test_find_isomorphism_is_not_bounded_by_recursion(sp62, comp_point, par_point):
+    recon = reconstruct(comp_point, par_point)
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 40)  # fewer spare frames than the 63 points
+    try:
+        m = find_isomorphism(sp62.structure, recon.structure)
+    finally:
+        sys.setrecursionlimit(old)
+    # the mapping the depth-first search has always returned here
+    digest = hashlib.sha256(json.dumps(sorted(m.items())).encode()).hexdigest()
+    assert digest == "c2733333361857a6c034c790f826acb7766fe1c41fa099b5d2df7e1aade13147"
+
+
 # ---------------------------------------------------------------------------
 # the battery
 # ---------------------------------------------------------------------------
@@ -192,6 +215,28 @@ def test_battery_flags_perp_meet_divergence(sp62):
     # the ground-side properties still hold there
     passed = {r.check_id for r in results if r.status == "pass"}
     assert {"deep_points", "avoiding_hyperplane", "plane_chains"} <= passed
+
+
+@pytest.mark.parametrize("fixture", ["comp_point", "comp_line", "comp_q53_lperp"])
+def test_fibration_witness_matches_oracle(fixture, request):
+    comp = request.getfixturevalue(fixture)
+    assert fibration_mismatch(comp) is None
+    aff = comp.affine_lines()
+    for k in (aff[0], aff[len(aff) // 2]):
+        # move one affine line to another point at infinity (a proper point
+        # when the horizon has no other)
+        bad = copy.copy(comp)
+        bad._infinity = list(comp._infinity)
+        others = comp.horizon & ~(1 << comp.point_at_infinity(k))
+        bad._infinity[k] = next(bits(others)) if others else comp.proper_points[0]
+        expected = fibration_mismatch(bad)
+        assert expected is not None
+        results = run_lemma_battery(bad, seed=0)
+        result = next(r for r in results if r.check_id == "affine_fibration")
+        assert result.status == "fail"
+        assert result.witness == {
+            "lines": expected, "reason": "parallel table disagrees with closures"
+        }
 
 
 @pytest.mark.parametrize(
