@@ -1,9 +1,8 @@
 """Polar spaces over small fields, subspace complements, and reconstruction."""
 
-from .algebra import GF, FieldElement, normalize_point, pg_line, pg_points
+from .algebra import GF, normalize_point, pg_line, pg_points
 from .complement import (
     Complement,
-    PlaneRecord,
     build_complement,
     drop_proper_line,
     resolve_horizon,
@@ -23,14 +22,13 @@ from .polar import (
     parabolic_form,
     symplectic_form,
 )
-from .reconstruct import Parallelism, ReconstructedStructure, canonical_map, reconstruct
+from .reconstruct import Parallelism, ReconstructedStructure, Run, canonical_map, reconstruct
 from .verify import CheckResult, find_isomorphism, is_isomorphism, run_lemma_battery
 
 __version__ = "0.1.0"
 
 __all__ = [
     "GF",
-    "FieldElement",
     "normalize_point",
     "pg_points",
     "pg_line",
@@ -49,7 +47,6 @@ __all__ = [
     "compute_rank",
     "check_polar_axioms",
     "Complement",
-    "PlaneRecord",
     "build_complement",
     "drop_proper_line",
     "resolve_horizon",
@@ -57,6 +54,7 @@ __all__ = [
     "ReconstructedStructure",
     "reconstruct",
     "canonical_map",
+    "Run",
     "CheckResult",
     "is_isomorphism",
     "find_isomorphism",

@@ -4,9 +4,7 @@ Field elements are stored as plain ints in ``range(q)``: the base-p digits of
 the int, least significant first, are the coefficients of a polynomial over
 GF(p) reduced modulo a fixed irreducible modulus.  All arithmetic is table
 driven, which is comfortable because every supported field has order at most
-sixteen.  :class:`FieldElement` wraps an int together with its field for
-ergonomic use in tests and scripts; the geometry modules call the int-level
-methods on :class:`GF` directly.
+sixteen.
 """
 
 from __future__ import annotations
@@ -16,7 +14,6 @@ from typing import Iterable, Sequence
 
 __all__ = [
     "GF",
-    "FieldElement",
     "DEFAULT_MODULI",
     "normalize_point",
     "pg_points",
@@ -226,22 +223,6 @@ class GF:
             a //= self.p
         return tuple(out)
 
-    # -- element sugar -------------------------------------------------------
-
-    def __call__(self, val: int) -> "FieldElement":
-        return FieldElement(self, val % self.p if self.k == 1 else val % self.q)
-
-    @property
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, 0)
-
-    @property
-    def one(self) -> "FieldElement":
-        return FieldElement(self, 1)
-
-    def elements(self) -> list["FieldElement"]:
-        return [FieldElement(self, a) for a in range(self.q)]
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GF):
             return NotImplemented
@@ -254,99 +235,6 @@ class GF:
         if self.k == 1:
             return f"GF({self.p})"
         return f"GF({self.p}^{self.k})"
-
-
-class FieldElement:
-    """An element of a :class:`GF`, supporting the usual operators.
-
-    Plain ints mix in through the prime subfield, so ``x + 1`` works in any
-    characteristic.  Elements of distinct fields never mix.
-    """
-
-    __slots__ = ("field", "val")
-
-    def __init__(self, field: GF, val: int):
-        if not 0 <= val < field.q:
-            raise ValueError(f"{val} is not an element of {field!r}")
-        self.field = field
-        self.val = val
-
-    def _coerce(self, other: object) -> int | None:
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise ValueError("elements of different fields cannot mix")
-            return other.val
-        if isinstance(other, int):
-            return other % self.field.p
-        return None
-
-    def __add__(self, other):
-        v = self._coerce(other)
-        if v is None:
-            return NotImplemented
-        return FieldElement(self.field, self.field.add(self.val, v))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._coerce(other)
-        if v is None:
-            return NotImplemented
-        return FieldElement(self.field, self.field.sub(self.val, v))
-
-    def __rsub__(self, other):
-        v = self._coerce(other)
-        if v is None:
-            return NotImplemented
-        return FieldElement(self.field, self.field.sub(v, self.val))
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.val))
-
-    def __mul__(self, other):
-        v = self._coerce(other)
-        if v is None:
-            return NotImplemented
-        return FieldElement(self.field, self.field.mul(self.val, v))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        v = self._coerce(other)
-        if v is None:
-            return NotImplemented
-        return FieldElement(self.field, self.field.div(self.val, v))
-
-    def __rtruediv__(self, other):
-        v = self._coerce(other)
-        if v is None:
-            return NotImplemented
-        return FieldElement(self.field, self.field.div(v, self.val))
-
-    def __pow__(self, e: int):
-        return FieldElement(self.field, self.field.pow(self.val, e))
-
-    def inv(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.inv(self.val))
-
-    def conj(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.conj(self.val))
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, FieldElement):
-            return self.field == other.field and self.val == other.val
-        if isinstance(other, int):
-            return self.val == other % self.field.p if other >= 0 or self.field.k == 1 else False
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.field, self.val))
-
-    def __bool__(self) -> bool:
-        return self.val != 0
-
-    def __repr__(self) -> str:
-        return f"{self.field!r}:{self.val}"
 
 
 # -- projective space primitives ---------------------------------------------

@@ -24,7 +24,7 @@ import re
 import sys
 from pathlib import Path
 
-from .complement import Complement, build_complement, resolve_horizon
+from .complement import build_complement, resolve_horizon
 from .errors import ConfigurationError, HorizonRefusal, IntegrityError
 from .incidence import IncidenceStructure, bits
 from .polar import (
@@ -39,7 +39,7 @@ from .polar import (
     symplectic_form,
 )
 from .algebra import GF
-from .reconstruct import Parallelism, canonical_map, reconstruct
+from .reconstruct import Run
 from .verify import find_isomorphism, is_isomorphism, run_lemma_battery
 
 DEFAULT_TASKS = ("axioms", "complement", "lemmas", "reconstruct", "verify")
@@ -114,7 +114,8 @@ def cmd_build(args) -> int:
     return 0
 
 
-def _complement_payload(comp: Complement) -> dict:
+def _complement_payload(run: Run) -> dict:
+    comp = run.complement
     st = comp.base.structure
     return {
         "horizon_points": list(bits(comp.horizon)),
@@ -125,7 +126,7 @@ def _complement_payload(comp: Complement) -> dict:
         "deep_lines": [list(st.lines[li]) for li in comp.deep_lines()],
         "n_planes": len(comp.planes()),
         "n_semiaffine_planes": len(comp.semiaffine_planes()),
-        "horizon_is_hyperplane": st.is_hyperplane(comp.horizon),
+        "horizon_is_hyperplane": run.delegated,
     }
 
 
@@ -142,23 +143,6 @@ def _run_single(
     """Run the pipeline for one configuration; returns the failed-check count."""
     outdir.mkdir(parents=True, exist_ok=True)
     failed = 0
-    comp: Complement | None = None
-    par: Parallelism | None = None
-
-    def need_comp() -> Complement:
-        nonlocal comp
-        if comp is None:
-            comp = build_complement(ps, horizon)
-        return comp
-
-    def need_par() -> Parallelism | None:
-        """The one Parallelism of this run; None over a hyperplane horizon,
-        where the battery skips every intrinsic check and reconstruction
-        refuses."""
-        nonlocal par
-        if par is None and not ps.structure.is_hyperplane(horizon):
-            par = Parallelism(need_comp())
-        return par
 
     if "axioms" in tasks:
         report = check_polar_axioms(ps)
@@ -166,13 +150,15 @@ def _run_single(
         if not report.all_ok:
             failed += 1
 
+    if set(tasks) <= {"axioms"}:
+        return failed
+    run = Run(build_complement(ps, horizon))
+
     if "complement" in tasks:
-        _emit(_complement_payload(need_comp()), str(outdir / "complement.json"))
+        _emit(_complement_payload(run), str(outdir / "complement.json"))
 
     if "lemmas" in tasks:
-        checks = run_lemma_battery(
-            need_comp(), seed=seed, exhaustive=exhaustive, parallelism=need_par()
-        )
+        checks = run_lemma_battery(run, seed=seed, exhaustive=exhaustive)
         n_bad = sum(1 for c in checks if c.status == "fail")
         failed += n_bad
         _emit(
@@ -183,19 +169,15 @@ def _run_single(
             str(outdir / "lemma_battery.json"),
         )
 
-    recon = None
-    if "reconstruct" in tasks or "verify" in tasks:
-        recon = reconstruct(need_comp(), need_par())
+    if "reconstruct" not in tasks and "verify" not in tasks:
+        return failed
+    recon = run.reconstruction
+    try:
+        cmap, map_error = run.canonical_map, None
+    except IntegrityError as exc:
+        cmap, map_error = None, str(exc)
 
-    if "reconstruct" in tasks and recon is not None:
-        try:
-            cmap = canonical_map(recon)
-            map_pairs = [[k, cmap[k]] for k in sorted(cmap)]
-            map_error = None
-        except IntegrityError as exc:
-            map_pairs = None
-            map_error = str(exc)
-            failed += 1
+    if "reconstruct" in tasks:
         payload = {
             "n_points": recon.structure.n_points,
             "n_proper_points": recon.n_proper,
@@ -203,25 +185,25 @@ def _run_single(
                 name: [list(line) for line in lines]
                 for name, lines in recon.families.items()
             },
-            "canonical_map": map_pairs,
+            "canonical_map": None if cmap is None else [[k, cmap[k]] for k in sorted(cmap)],
         }
         if map_error is not None:
             payload["canonical_map_error"] = map_error
+            failed += 1
         _emit(payload, str(outdir / "reconstruction.json"))
 
-    if "verify" in tasks and recon is not None:
-        payload: dict = {}
-        try:
-            cmap = canonical_map(recon)
+    if "verify" in tasks:
+        payload = {}
+        if cmap is None:
+            payload["canonical_isomorphism"] = False
+            payload["violation"] = {"error": map_error}
+            failed += 1
+        else:
             ok, cert = is_isomorphism(recon.structure, ps.structure, cmap)
             payload["canonical_isomorphism"] = ok
             if not ok:
                 payload["violation"] = cert
                 failed += 1
-        except IntegrityError as exc:
-            payload["canonical_isomorphism"] = False
-            payload["violation"] = {"error": str(exc)}
-            failed += 1
         found = find_isomorphism(ps.structure, recon.structure)
         payload["independent_search"] = {
             "found": found is not None,

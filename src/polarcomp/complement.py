@@ -14,25 +14,18 @@ standalone incidence structure when one is needed.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Sequence
+from typing import Sequence
 
 from .errors import HorizonRefusal, LemmaFalsified
 from .incidence import IncidenceStructure, bits, mask_of
 from .polar import PolarSpace
 
 __all__ = [
-    "PlaneRecord",
     "Complement",
     "build_complement",
     "drop_proper_line",
     "resolve_horizon",
 ]
-
-
-class PlaneRecord(NamedTuple):
-    """A singular base plane not inside the horizon."""
-
-    closure: int
 
 
 class Complement:
@@ -75,7 +68,7 @@ class Complement:
             for p in bits(trace):
                 self._point_lines[p] = self._point_lines.get(p, 0) | (1 << i)
 
-        self._planes: list[PlaneRecord] | None = None
+        self._planes: list[int] | None = None
         self._plane_lines: list[int] | None = None
         self._semiaffine: list[int] | None = None
         self._over_horizon: list[int] | None = None
@@ -119,11 +112,10 @@ class Complement:
 
     # -- planes --------------------------------------------------------------
 
-    def planes(self) -> list[PlaneRecord]:
+    def planes(self) -> list[int]:
+        """Masks of the singular base planes not inside the horizon."""
         if self._planes is None:
-            self._planes = [
-                PlaneRecord(m) for m in self.base.singular_planes() if m & self.proper_mask
-            ]
+            self._planes = [m for m in self.base.singular_planes() if m & self.proper_mask]
         return self._planes
 
     def plane_lines(self, pi: int) -> int:
@@ -134,12 +126,12 @@ class Complement:
             st = self.base.structure
             proper_id = {b: k for k, b in enumerate(self.line_closure)}
             self._plane_lines = []
-            for rec in self.planes():
+            for plane in self.planes():
                 m = 0
-                for p in bits(rec.closure):
+                for p in bits(plane):
                     for b in st.lines_at(p):
                         k = proper_id.get(b)
-                        if k is not None and not st.line_masks[b] & ~rec.closure:
+                        if k is not None and not st.line_masks[b] & ~plane:
                             m |= 1 << k
                 self._plane_lines.append(m)
         return self._plane_lines[pi]
@@ -206,10 +198,10 @@ class Complement:
         if self._plane_graph is None:
             line_planes = [0] * self.n_lines
             at_infinity: dict[int, int] = {}
-            for pi, rec in enumerate(self.planes()):
+            for pi, plane in enumerate(self.planes()):
                 for j in bits(self.plane_lines(pi)):
                     line_planes[j] |= 1 << pi
-                for d in bits(rec.closure & self.horizon):
+                for d in bits(plane & self.horizon):
                     at_infinity[d] = at_infinity.get(d, 0) | (1 << pi)
             self._plane_graph = line_planes, at_infinity
         line_planes, at_infinity = self._plane_graph

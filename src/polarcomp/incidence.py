@@ -131,36 +131,6 @@ class IncidenceStructure:
                 return False
         return True
 
-    def is_scaly(self, xs: int) -> bool:
-        """Every line inside the set lies in the perp of some outside point."""
-        for m in self.line_masks:
-            if not m & ~xs and not self.set_perp(m) & ~xs:
-                return False
-        return True
-
-    def singular_dim(self, xs: int) -> int | None:
-        """Projective dimension of a singular subspace, None if not singular.
-
-        The dimension is the length of a greedy generating chain: each step
-        adds one point outside the closure of the points picked so far.
-        """
-        if not self.is_subspace(xs):
-            raise ValueError("singular_dim needs a subspace")
-        if xs == 0:
-            return -1
-        for p in bits(xs):
-            if xs & ~self.adj[p]:
-                return None
-        first = (xs & -xs).bit_length() - 1
-        cur = 1 << first
-        dim = 0
-        while cur != xs:
-            rest = xs & ~cur
-            x = (rest & -rest).bit_length() - 1
-            cur = self.closure_of(cur | (1 << x))
-            dim += 1
-        return dim
-
     # -- line helpers --------------------------------------------------------
 
     def lines_in(self, xs: int) -> list[int]:

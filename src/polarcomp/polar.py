@@ -274,10 +274,6 @@ class PolarSpace:
                 )
         return cls(form, pts, st, compute_rank(st))
 
-    def form_perp(self, a: int, b: int) -> bool:
-        """Orthogonality of two points straight from the form."""
-        return self.form.pair_perp(self.points[a], self.points[b])
-
     def singular_planes(self) -> list[int]:
         """Masks of all singular planes, empty when the rank is below 3."""
         if self._planes is None:

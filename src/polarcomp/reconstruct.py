@@ -15,12 +15,15 @@ of classes mutually related under the lifted relation (these recover lines
 of the horizon that no plane reaches) and per-plane direction sets.  The
 assembly is purely intrinsic; the ground-truth horizon data of the
 complement is consulted only by :func:`canonical_map` and the verification
-layer.
+layer.  :class:`Run` holds one configuration's chain (complement,
+parallelism, reconstruction, canonical map), each stage built on first use
+and kept.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .complement import Complement
 from .errors import HorizonRefusal, IntegrityError
@@ -31,6 +34,7 @@ __all__ = [
     "ReconstructedStructure",
     "reconstruct",
     "canonical_map",
+    "Run",
 ]
 
 
@@ -244,20 +248,15 @@ class ReconstructedStructure:
     n_proper: int
     families: dict[str, list[tuple[int, ...]]]
     parallelism: Parallelism
-    complement: Complement
 
 
-def reconstruct(comp: Complement, parallelism: Parallelism | None = None) -> ReconstructedStructure:
+def reconstruct(par: Parallelism) -> ReconstructedStructure:
     """Assemble proper points plus directions into a copy of the base space.
 
     Proper lines are extended by their direction when affine; the two new
-    line families contribute the horizon lines.  Refuses a horizon that is a
-    hyperplane: that case is recovered by a different construction and is
-    out of scope here.
+    line families contribute the horizon lines.
     """
-    if comp.base.structure.is_hyperplane(comp.horizon):
-        raise HorizonRefusal("hyperplane horizon: delegated case")
-    par = parallelism if parallelism is not None else Parallelism(comp)
+    comp = par.comp
     n_proper = len(comp.proper_points)
 
     extended: list[tuple[int, ...]] = []
@@ -275,7 +274,6 @@ def reconstruct(comp: Complement, parallelism: Parallelism | None = None) -> Rec
         n_proper=n_proper,
         families={"extended": extended, "prime": prime, "second": second},
         parallelism=par,
-        complement=comp,
     )
 
 
@@ -286,8 +284,8 @@ def canonical_map(recon: ReconstructedStructure) -> dict[int, int]:
     infinity of its members.  Any ambiguity falsifies the theory and raises
     :class:`IntegrityError` rather than guessing.
     """
-    comp = recon.complement
     par = recon.parallelism
+    comp = par.comp
     mapping = {local: base for base, local in comp.local_index.items()}
     seen: dict[int, int] = {}
     for c, members in enumerate(par.classes):
@@ -307,3 +305,34 @@ def canonical_map(recon: ReconstructedStructure) -> dict[int, int]:
     if uncovered:
         raise IntegrityError(f"horizon points {list(bits(uncovered))} have no direction")
     return mapping
+
+
+class Run:
+    """One configuration's derived stages, each built on first use and kept.
+
+    Over a hyperplane horizon (``delegated``) there is no parallelism and the
+    reconstruction refuses: that case is recovered by a different
+    construction and is out of scope here.  A stage that raises is not
+    kept, so every reader sees the error.
+    """
+
+    def __init__(self, comp: Complement):
+        self.complement = comp
+
+    @cached_property
+    def delegated(self) -> bool:
+        return self.complement.base.structure.is_hyperplane(self.complement.horizon)
+
+    @cached_property
+    def parallelism(self) -> Parallelism | None:
+        return None if self.delegated else Parallelism(self.complement)
+
+    @cached_property
+    def reconstruction(self) -> ReconstructedStructure:
+        if self.parallelism is None:
+            raise HorizonRefusal("hyperplane horizon: delegated case")
+        return reconstruct(self.parallelism)
+
+    @cached_property
+    def canonical_map(self) -> dict[int, int]:
+        return canonical_map(self.reconstruction)

@@ -17,9 +17,16 @@ from .complement import Complement
 from .errors import IntegrityError, LemmaFalsified
 from .incidence import IncidenceStructure, bits, mask_of
 from .polar import _partial_linear_witness
-from .reconstruct import Parallelism, canonical_map, reconstruct
+from .reconstruct import Run
 
 __all__ = ["CheckResult", "is_isomorphism", "find_isomorphism", "run_lemma_battery"]
+
+# Sampling caps of the battery outside ``exhaustive`` mode: parallel pairs
+# per pair check, classes up to which every triple is checked, and sampled
+# triples beyond that.
+PAIR_CAP = 500
+CLASS_LIMIT = 40
+TRIPLE_CAP = 2000
 
 
 @dataclass
@@ -230,36 +237,22 @@ def _horizon_line_between(comp: Complement, d1: int, d2: int) -> int | None:
     return li
 
 
-def run_lemma_battery(
-    comp: Complement,
-    *,
-    seed: int = 0,
-    exhaustive: bool = False,
-    pair_cap: int = 500,
-    class_limit: int = 40,
-    triple_cap: int = 2000,
-    parallelism: Parallelism | None = None,
-) -> list[CheckResult]:
-    """Run every verified property of the complement; report, never raise.
+def run_lemma_battery(run: Run, *, seed: int = 0, exhaustive: bool = False) -> list[CheckResult]:
+    """Run every verified property of the run's complement; report, never raise.
 
-    ``parallelism`` may pass in the complement's already built
-    :class:`Parallelism`; otherwise it is built on first use.
+    The intrinsic checks read the run's stages, so each is built at most
+    once however many checks use it.
     """
+    comp = run.complement
     st = comp.base.structure
     rnd = random.Random(seed)
     results: list[CheckResult] = []
-    par_holder: dict[str, Parallelism] = {} if parallelism is None else {"par": parallelism}
 
     # Over a hyperplane horizon only the ground-side properties are in scope:
     # recovery is delegated, and the crossing configuration has no room in
     # the order-2 affine planes such a horizon leaves behind.
-    delegated = st.is_hyperplane(comp.horizon)
+    delegated = run.delegated
     DELEGATED = {"status": "skip", "witness": {"reason": "hyperplane horizon: delegated case"}}
-
-    def par() -> Parallelism:
-        if "par" not in par_holder:
-            par_holder["par"] = Parallelism(comp)
-        return par_holder["par"]
 
     def check_partial_linear() -> dict | None:
         return _partial_linear_witness(comp.structure())
@@ -286,7 +279,7 @@ def run_lemma_battery(
 
     def check_deep_points() -> dict | None:
         deep = comp.deep_points()
-        if st.is_hyperplane(comp.horizon):
+        if delegated:
             if deep.bit_count() > 1:
                 return {"deep_points": list(bits(deep)), "reason": "more than one deep point"}
             if deep & ~st.radical_of(comp.horizon):
@@ -308,8 +301,8 @@ def run_lemma_battery(
             for i, k in enumerate(members)
             for l in members[i + 1 :]
         ]
-        if not exhaustive and len(pairs) > pair_cap:
-            pairs = rnd.sample(pairs, pair_cap)
+        if not exhaustive and len(pairs) > PAIR_CAP:
+            pairs = rnd.sample(pairs, PAIR_CAP)
             pairs.sort()
         return pairs
 
@@ -334,7 +327,7 @@ def run_lemma_battery(
                 return {"lines": [k, l], "reason": "empty plane chain"}
             a = comp.point_at_infinity(k)
             for pi in path:
-                if not (comp.planes()[pi].closure >> a) & 1:
+                if not (comp.planes()[pi] >> a) & 1:
                     return {"lines": [k, l], "plane": pi, "reason": "plane misses the infinity"}
             if not (comp.plane_lines(path[0]) >> k) & 1:
                 return {"lines": [k, l], "reason": "first plane misses the first line"}
@@ -348,7 +341,7 @@ def run_lemma_battery(
     def check_parallel_tables_match() -> dict | None:
         if delegated:
             return DELEGATED
-        intrinsic = par().table()
+        intrinsic = run.parallelism.table()
         ground = comp.parallel_table()
         for k in range(comp.n_lines):
             if intrinsic[k] != ground[k]:
@@ -364,14 +357,14 @@ def run_lemma_battery(
         if delegated:
             return DELEGATED
         for k in comp.affine_lines():
-            if not par().parallel(k, k):
+            if not run.parallelism.parallel(k, k):
                 return {"line": k, "reason": "affine line is not self-parallel"}
         return None
 
     def check_affine_detection() -> dict | None:
         if delegated:
             return DELEGATED
-        intrinsic = set(par().affine_ids())
+        intrinsic = set(run.parallelism.affine_ids())
         ground = set(comp.affine_lines())
         if intrinsic != ground:
             return {
@@ -382,7 +375,7 @@ def run_lemma_battery(
 
     def class_directions() -> list[int] | dict:
         dirs = []
-        for c, members in enumerate(par().classes):
+        for c, members in enumerate(run.parallelism.classes):
             d = _ground_direction(comp, members)
             if d is None:
                 return {"class": c, "reason": "class has no single ground direction"}
@@ -396,7 +389,7 @@ def run_lemma_battery(
         if isinstance(dirs, dict):
             return dirs
         deep = set(comp.deep_lines())
-        p = par()
+        p = run.parallelism
         for c1 in range(p.n_classes):
             for c2 in range(c1 + 1, p.n_classes):
                 li = _horizon_line_between(comp, dirs[c1], dirs[c2])
@@ -415,7 +408,7 @@ def run_lemma_battery(
         dirs = class_directions()
         if isinstance(dirs, dict):
             return dirs
-        p = par()
+        p = run.parallelism
         related = [
             (c1, c2)
             for c1 in range(p.n_classes)
@@ -441,11 +434,11 @@ def run_lemma_battery(
         dirs = class_directions()
         if isinstance(dirs, dict):
             return dirs
-        p = par()
+        p = run.parallelism
         nc = p.n_classes
         if nc < 3:
             return None
-        if exhaustive or nc <= class_limit:
+        if exhaustive or nc <= CLASS_LIMIT:
             triples = [
                 (a, b, c)
                 for a in range(nc)
@@ -454,7 +447,7 @@ def run_lemma_battery(
             ]
         else:
             chosen = set()
-            while len(chosen) < triple_cap:
+            while len(chosen) < TRIPLE_CAP:
                 chosen.add(tuple(sorted(rnd.sample(range(nc), 3))))
             triples = sorted(chosen)
         for c1, c2, c3 in triples:
@@ -474,7 +467,7 @@ def run_lemma_battery(
         dirs = class_directions()
         if isinstance(dirs, dict):
             return dirs
-        p = par()
+        p = run.parallelism
         prime = p.lines_prime()
         second = p.lines_second()
         if len(set(prime)) != len(prime):
@@ -535,12 +528,8 @@ def run_lemma_battery(
     def check_ambient_recovery() -> dict | None:
         if delegated:
             return DELEGATED
-        recon = reconstruct(comp, par())
-        mapping = canonical_map(recon)
-        ok, cert = is_isomorphism(recon.structure, st, mapping)
-        if not ok:
-            return cert
-        return None
+        ok, cert = is_isomorphism(run.reconstruction.structure, st, run.canonical_map)
+        return None if ok else cert
 
     checks = [
         ("partial_linear", check_partial_linear),

@@ -45,10 +45,10 @@ def span_planes(ps):
 def plane_lines_scan(comp):
     """Row ``pi``: proper line ids whose trace lies in plane ``pi``, line by line."""
     rows = []
-    for rec in comp.planes():
+    for plane in comp.planes():
         m = 0
         for k, trace in enumerate(comp.line_trace):
-            if not trace & ~rec.closure:
+            if not trace & ~plane:
                 m |= 1 << k
         rows.append(m)
     return rows
@@ -108,7 +108,7 @@ def plane_path_scan(comp, k, l):
     """
     a = comp.point_at_infinity(k)
     rows = [comp.plane_lines(pi) for pi in range(len(comp.planes()))]
-    nodes = [pi for pi, rec in enumerate(comp.planes()) if (rec.closure >> a) & 1]
+    nodes = [pi for pi, plane in enumerate(comp.planes()) if (plane >> a) & 1]
     parent = {pi: None for pi in nodes if (rows[pi] >> k) & 1}
     queue = list(parent)
     for pi in queue:

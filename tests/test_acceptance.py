@@ -13,8 +13,8 @@ import pytest
 
 from polarcomp import (
     Parallelism,
+    Run,
     build_complement,
-    canonical_map,
     check_polar_axioms,
     drop_proper_line,
     find_isomorphism,
@@ -132,7 +132,7 @@ def test_criterion_05_plane_chains(suite_configs):
     problems = []
     total = 0
     for desc, label, comp, _ in suite_configs:
-        records = comp.planes()
+        planes = comp.planes()
         for k, l in parallel_pairs(comp):
             total += 1
             a = comp.point_at_infinity(k)
@@ -145,7 +145,7 @@ def test_criterion_05_plane_chains(suite_configs):
             good = (path
                     and (masks[0] >> k) & 1
                     and (masks[-1] >> l) & 1
-                    and all((records[pi].closure >> a) & 1 for pi in path)
+                    and all((planes[pi] >> a) & 1 for pi in path)
                     and all(m1 & m2 for m1, m2 in zip(masks, masks[1:])))
             if not good:
                 problems.append((desc, label, k, l, "side condition"))
@@ -237,17 +237,17 @@ def test_criterion_10_reconstruction(suite_configs):
     worst = 0.0
     for desc, label, comp, _ in suite_configs:
         t0 = time.perf_counter()
-        recon = reconstruct(comp, Parallelism(comp))
-        mapping = canonical_map(recon)
-        ok, cert = is_isomorphism(recon.structure, comp.base.structure, mapping)
+        run = Run(comp)
+        ok, cert = is_isomorphism(run.reconstruction.structure, comp.base.structure,
+                                  run.canonical_map)
         worst = max(worst, time.perf_counter() - t0)
         if not ok:
             problems.append((desc, label, cert))
     searched = 0
-    for desc, label, comp, _ in suite_configs:
+    for desc, label, comp, par in suite_configs:
         if label != "point 0":
             continue
-        recon = reconstruct(comp, Parallelism(comp))
+        recon = reconstruct(par)
         witness = find_isomorphism(recon.structure, comp.base.structure)
         if witness is None or not is_isomorphism(recon.structure, comp.base.structure, witness)[0]:
             problems.append((desc, label, "independent search failed"))
@@ -259,7 +259,7 @@ def test_criterion_10_reconstruction(suite_configs):
 
 def test_criterion_11_mutation_sensitivity(comp_point):
     mutated = drop_proper_line(comp_point, 0)
-    failing = [r for r in run_lemma_battery(mutated, seed=0)
+    failing = [r for r in run_lemma_battery(Run(mutated), seed=0)
                if r.status == "fail" and r.witness]
     detail = f"{len(failing)} checks fail"
     if failing:

@@ -7,7 +7,7 @@ down the choice of modulus on top.
 
 import pytest
 
-from polarcomp import GF, FieldElement, normalize_point, pg_line, pg_points
+from polarcomp import GF, normalize_point, pg_line, pg_points
 
 ORDERS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16]
 
@@ -177,46 +177,6 @@ def test_custom_modulus():
     assert f != GF.of_order(9)
     for a in range(1, 9):
         assert f.mul(a, f.inv(a)) == 1
-
-
-# ---------------------------------------------------------------------------
-# element wrapper
-# ---------------------------------------------------------------------------
-
-
-def test_element_operators(gf4):
-    x = gf4(2)
-    assert x * x == gf4(3)
-    assert x + 1 == gf4(3)
-    assert 1 + x == gf4(3)
-    assert x / x == gf4.one
-    assert x**3 == gf4.one
-    assert (-x) == x  # characteristic 2
-    assert x.inv() == gf4(3)
-    assert x.conj() == gf4(3)
-    assert bool(gf4.zero) is False and bool(x) is True
-
-
-def test_element_int_coercion(gf3):
-    a = gf3(2)
-    assert a + 2 == gf3(1)
-    assert 2 - a == gf3.zero
-    assert a * 2 == gf3(1)
-    assert 1 / a == gf3(2)
-
-
-def test_elements_of_distinct_fields_do_not_mix(gf2, gf4):
-    with pytest.raises(ValueError):
-        gf4(1) + gf2(1)
-
-
-def test_element_listing_and_hash(gf4):
-    els = gf4.elements()
-    assert [e.val for e in els] == [0, 1, 2, 3]
-    assert len({hash(e) for e in els}) == 4
-    assert FieldElement(gf4, 2) == gf4(2)
-    with pytest.raises(ValueError):
-        FieldElement(gf4, 4)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,18 @@
 """Command-line behavior: payloads, exit codes, determinism."""
 
 import hashlib
+import importlib
 import json
+import sys
+from collections import Counter
 
 import pytest
 
 from polarcomp.cli import load_incidence, main
 from polarcomp.reconstruct import Parallelism
+
+# the package re-exports the function ``reconstruct`` under the module's name
+reconstruct_module = importlib.import_module("polarcomp.reconstruct")
 
 
 def run_cli(*argv):
@@ -172,17 +178,32 @@ def test_run_refuses_span_of_everything(capsys):
     ],
 )
 def test_run_builds_parallelism_at_most_once(tmp_path, monkeypatch, horizon, tasks, builds):
-    calls = []
+    """Each derived stage is built once per run, and only when a task needs it."""
+    calls = Counter()
     init = Parallelism.__init__
 
     def counting_init(self, comp):
-        calls.append(comp)
+        calls["parallelism"] += 1
         init(self, comp)
 
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
     monkeypatch.setattr(Parallelism, "__init__", counting_init)
+    modules = [m for key, m in sys.modules.items() if key.split(".")[0] == "polarcomp"]
+    for name in ("reconstruct", "canonical_map"):
+        original = getattr(reconstruct_module, name)
+        wrapper = counting(name, original)
+        for module in modules:  # every binding, so calls by any import path count
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, wrapper)
     assert run_cli("run", "--form", "q+:5:2", "--horizon", horizon,
                    "--tasks", tasks, "--out", str(tmp_path / "out")) == 0
-    assert len(calls) == builds
+    assert calls == Counter({"parallelism": builds, "reconstruct": builds, "canonical_map": builds})
 
 
 def test_run_determinism(tmp_path):

@@ -95,9 +95,9 @@ def test_lines_at_point(comp_point):
 
 
 def test_planes_and_semiaffine(comp_point):
-    recs = comp_point.planes()
-    assert len(recs) == 135
-    assert all(rec.closure & comp_point.proper_mask for rec in recs)
+    planes = comp_point.planes()
+    assert len(planes) == 135
+    assert all(plane & comp_point.proper_mask for plane in planes)
     semi = comp_point.semiaffine_planes()
     assert len(semi) == 15  # the planes over the removed point
     for pi in semi:
@@ -179,7 +179,7 @@ def test_plane_path(comp_point):
         assert (comp_point.plane_lines(path[0]) >> aff[0]) & 1
         assert (comp_point.plane_lines(path[-1]) >> l) & 1
         for pi in path:
-            assert (comp_point.planes()[pi].closure >> a) & 1
+            assert (comp_point.planes()[pi] >> a) & 1
         for pi, pj in zip(path, path[1:]):
             assert comp_point.plane_lines(pi) & comp_point.plane_lines(pj)
     assert 1 in lengths  # coplanar pairs exist

@@ -105,24 +105,6 @@ def test_spiky(fano, sp62):
     assert fano.is_spiky(0)
 
 
-def test_scaly(sp62):
-    st = sp62.structure
-    assert st.is_scaly(st.line_masks[0])
-    assert not st.is_scaly(st.adj[0])
-    assert st.is_scaly(1 << 5)  # no line inside, vacuous
-
-
-def test_singular_dim(sp62):
-    st = sp62.structure
-    assert st.singular_dim(0) == -1
-    assert st.singular_dim(1 << 7) == 0
-    assert st.singular_dim(st.line_masks[0]) == 1
-    assert st.singular_dim(sp62.singular_planes()[0]) == 2
-    assert st.singular_dim(st.adj[0]) is None
-    with pytest.raises(ValueError):
-        st.singular_dim(mask_of([0, 3]))  # two points of a line, not closed
-
-
 def test_lines_in(fano):
     assert fano.lines_in(fano.full_mask) == list(range(7))
     assert fano.lines_in(mask_of([0, 3, 4])) == [1]

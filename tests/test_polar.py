@@ -174,9 +174,9 @@ def test_form_perp_matches_collinearity(sp62):
     st = sp62.structure
     n = st.n_points
     for a in range(n):
-        assert sp62.form_perp(a, a)
+        assert sp62.form.pair_perp(sp62.points[a], sp62.points[a])
         for b in range(a + 1, n):
-            assert sp62.form_perp(a, b) == st.collinear(a, b)
+            assert sp62.form.pair_perp(sp62.points[a], sp62.points[b]) == st.collinear(a, b)
 
 
 def test_perp_sizes_and_hyperplanes(sp62, q52):

@@ -13,6 +13,7 @@ import pytest
 from polarcomp import (
     HorizonRefusal,
     Parallelism,
+    Run,
     build_complement,
     canonical_map,
     drop_proper_line,
@@ -137,8 +138,8 @@ def test_ternary_on_the_line_horizon(par_line):
         par_line.ternary_collinear(0, 1, 1)
 
 
-def test_reconstruct_point_horizon(comp_point, par_point, sp62):
-    recon = reconstruct(comp_point, par_point)
+def test_reconstruct_point_horizon(par_point, sp62):
+    recon = reconstruct(par_point)
     st = recon.structure
     assert st.n_points == 63
     assert len(st.lines) == 315
@@ -152,8 +153,8 @@ def test_reconstruct_point_horizon(comp_point, par_point, sp62):
     assert ok, cert
 
 
-def test_reconstruct_line_horizon(comp_line, par_line, sp62):
-    recon = reconstruct(comp_line, par_line)
+def test_reconstruct_line_horizon(par_line, sp62):
+    recon = reconstruct(par_line)
     assert recon.structure.n_points == 63
     assert len(recon.structure.lines) == 315
     assert len(recon.families["second"]) == 1
@@ -163,15 +164,17 @@ def test_reconstruct_line_horizon(comp_line, par_line, sp62):
 
 def test_reconstruct_refuses_hyperplane_horizon(sp62):
     comp = build_complement(sp62, sp62.structure.adj[0])
+    run = Run(comp)
+    assert run.parallelism is None
     with pytest.raises(HorizonRefusal, match="delegated"):
-        reconstruct(comp)
+        run.reconstruction
 
 
 def test_reconstruct_empty_horizon(sp62):
-    comp = build_complement(sp62, 0)
-    recon = reconstruct(comp)
+    run = Run(build_complement(sp62, 0))
+    recon = run.reconstruction
     assert recon.parallelism.n_classes == 0
-    ok, _ = is_isomorphism(recon.structure, sp62.structure, canonical_map(recon))
+    ok, _ = is_isomorphism(recon.structure, sp62.structure, run.canonical_map)
     assert ok
 
 
@@ -239,8 +242,8 @@ def test_q53_ternary_against_ground(comp_q53_lperp, par_q53, q53):
     assert disagree == 0
 
 
-def test_q53_reconstruction_counts(comp_q53_lperp, par_q53, q53):
-    recon = reconstruct(comp_q53_lperp, par_q53)
+def test_q53_reconstruction_counts(par_q53, q53):
+    recon = reconstruct(par_q53)
     assert recon.structure.n_points == 130
     assert len(recon.structure.lines) == 495 + 1 + 24
     ok, cert = is_isomorphism(recon.structure, q53.structure, canonical_map(recon))

@@ -15,6 +15,8 @@ from polarcomp import (
     drop_proper_line,
     find_isomorphism,
     is_isomorphism,
+    Parallelism,
+    Run,
     reconstruct,
     run_lemma_battery,
 )
@@ -139,8 +141,8 @@ def test_find_isomorphism_small_negatives():
     assert m is not None and is_isomorphism(chain, chain, m)[0]
 
 
-def test_find_isomorphism_is_not_bounded_by_recursion(sp62, comp_point, par_point):
-    recon = reconstruct(comp_point, par_point)
+def test_find_isomorphism_is_not_bounded_by_recursion(sp62, par_point):
+    recon = reconstruct(par_point)
     depth, frame = 0, sys._getframe()
     while frame is not None:
         depth, frame = depth + 1, frame.f_back
@@ -161,7 +163,7 @@ def test_find_isomorphism_is_not_bounded_by_recursion(sp62, comp_point, par_poin
 
 
 def test_battery_passes_on_point_horizon(comp_point):
-    results = run_lemma_battery(comp_point, seed=0)
+    results = run_lemma_battery(Run(comp_point), seed=0)
     assert [r.check_id for r in results] == BATTERY_IDS
     assert all(r.status == "pass" for r in results), [
         (r.check_id, r.witness) for r in results if r.status != "pass"
@@ -175,7 +177,7 @@ def test_battery_delegates_hyperplane_horizons(sp62):
     from polarcomp import build_complement
 
     comp = build_complement(sp62, sp62.structure.adj[0])
-    results = {r.check_id: r for r in run_lemma_battery(comp, seed=0)}
+    results = {r.check_id: r for r in run_lemma_battery(Run(comp), seed=0)}
     for check_id in ("partial_linear", "affine_fibration", "deep_points",
                      "avoiding_hyperplane", "plane_chains"):
         assert results[check_id].status == "pass", check_id
@@ -199,7 +201,7 @@ def test_battery_delegates_hyperplane_horizons(sp62):
 
 def test_battery_detects_a_dropped_line(comp_point):
     mutated = drop_proper_line(comp_point, 0)
-    results = run_lemma_battery(mutated, seed=0)
+    results = run_lemma_battery(Run(mutated), seed=0)
     failed = {r.check_id: r.witness for r in results if r.status == "fail"}
     assert "ambient_recovery" in failed
     assert failed["ambient_recovery"] is not None
@@ -209,7 +211,7 @@ def test_battery_flags_perp_meet_divergence(sp62):
     from polarcomp import build_complement
 
     comp = build_complement(sp62, sp62.structure.adj[0] & sp62.structure.adj[3])
-    results = run_lemma_battery(comp, seed=0)
+    results = run_lemma_battery(Run(comp), seed=0)
     failed = [r.check_id for r in results if r.status == "fail"]
     assert "parallel_tables_match" in failed
     # the ground-side properties still hold there
@@ -231,7 +233,7 @@ def test_fibration_witness_matches_oracle(fixture, request):
         bad._infinity[k] = next(bits(others)) if others else comp.proper_points[0]
         expected = fibration_mismatch(bad)
         assert expected is not None
-        results = run_lemma_battery(bad, seed=0)
+        results = run_lemma_battery(Run(bad), seed=0)
         result = next(r for r in results if r.check_id == "affine_fibration")
         assert result.status == "fail"
         assert result.witness == {
@@ -253,11 +255,28 @@ def test_battery_reports_any_exception(comp_point, monkeypatch, exc, witness):
         raise exc
 
     monkeypatch.setattr(Complement, "deep_lines", broken)
-    results = {r.check_id: r for r in run_lemma_battery(comp_point, seed=0)}
+    results = {r.check_id: r for r in run_lemma_battery(Run(comp_point), seed=0)}
     assert list(results) == BATTERY_IDS
     for check_id in ("deep_line_equivalence", "new_line_families"):
         assert results[check_id].status == "fail"
         assert results[check_id].witness == witness
+
+
+def test_battery_reports_a_failing_parallelism(comp_point, monkeypatch):
+    def broken(self, comp):
+        raise RuntimeError("no crossing relation")
+
+    monkeypatch.setattr(Parallelism, "__init__", broken)
+    results = {r.check_id: r for r in run_lemma_battery(Run(comp_point), seed=0)}
+    assert list(results) == BATTERY_IDS
+    intrinsic = BATTERY_IDS[5:]  # every check from parallel_tables_match on
+    for check_id in BATTERY_IDS:
+        r = results[check_id]
+        if check_id in intrinsic:
+            assert r.status == "fail", check_id
+            assert r.witness == {"error": "no crossing relation", "exception": "RuntimeError"}
+        else:
+            assert r.status == "pass", (check_id, r.witness)
 
 
 def test_check_result_serialization():
@@ -270,6 +289,6 @@ def test_check_result_serialization():
 
 
 def test_battery_is_seed_stable(comp_line):
-    a = [(r.check_id, r.status) for r in run_lemma_battery(comp_line, seed=3)]
-    b = [(r.check_id, r.status) for r in run_lemma_battery(comp_line, seed=3)]
+    a = [(r.check_id, r.status) for r in run_lemma_battery(Run(comp_line), seed=3)]
+    b = [(r.check_id, r.status) for r in run_lemma_battery(Run(comp_line), seed=3)]
     assert a == b
