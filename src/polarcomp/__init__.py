@@ -22,7 +22,9 @@ from .polar import (
     parabolic_form,
     symplectic_form,
 )
-from .reconstruct import Parallelism, ReconstructedStructure, Run, canonical_map, reconstruct
+# The function ``reconstruct`` stays in its module, so that the package's
+# ``reconstruct`` attribute is that module.
+from .reconstruct import Parallelism, ReconstructedStructure, Run, canonical_map
 from .verify import CheckResult, find_isomorphism, is_isomorphism, run_lemma_battery
 
 __version__ = "0.1.0"
@@ -52,7 +54,6 @@ __all__ = [
     "resolve_horizon",
     "Parallelism",
     "ReconstructedStructure",
-    "reconstruct",
     "canonical_map",
     "Run",
     "CheckResult",

@@ -74,20 +74,6 @@ def _poly_mul(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
     return out
 
 
-def _is_irreducible(modulus: Sequence[int], p: int) -> bool:
-    """Trial division by every monic polynomial of degree up to deg/2."""
-    mod = _poly_trim(modulus)
-    deg = len(mod) - 1
-    if deg < 1:
-        return False
-    for d in range(1, deg // 2 + 1):
-        for tail in itertools.product(range(p), repeat=d):
-            trial = list(tail) + [1]
-            if len(_poly_mod(mod, trial, p)) == 0:
-                return False
-    return True
-
-
 class GF:
     """A finite field of order ``p ** k`` with ``p ** k <= 16``.
 
@@ -96,7 +82,7 @@ class GF:
     polynomial representative.
     """
 
-    def __init__(self, p: int, k: int = 1, modulus: Sequence[int] | None = None):
+    def __init__(self, p: int, k: int = 1):
         if not _is_prime(p):
             raise ValueError(f"characteristic {p} is not prime")
         if k < 1:
@@ -104,26 +90,14 @@ class GF:
         q = p**k
         if q > MAX_ORDER:
             raise ValueError(f"field order {q} exceeds the supported maximum {MAX_ORDER}")
-        if k == 1:
-            mod: tuple[int, ...] = (0, 1)
-        else:
-            if modulus is None:
-                modulus = DEFAULT_MODULI.get((p, k))
-                if modulus is None:
-                    raise ValueError(f"no default modulus for GF({p}^{k}); pass one")
-            mod = tuple(c % p for c in modulus)
-            if len(_poly_trim(mod)) - 1 != k:
-                raise ValueError(f"modulus degree must be {k}")
-            if not _is_irreducible(mod, p):
-                raise ValueError(f"modulus {mod} is reducible over GF({p})")
         self.p = p
         self.k = k
         self.q = q
-        self.modulus = mod
+        self.modulus = (0, 1) if k == 1 else DEFAULT_MODULI[(p, k)]
         self._build_tables()
 
     @classmethod
-    def of_order(cls, q: int, modulus: Sequence[int] | None = None) -> "GF":
+    def of_order(cls, q: int) -> "GF":
         """Build the field with ``q`` elements, factoring ``q`` as a prime power."""
         if q < 2:
             raise ValueError(f"no field of order {q}")
@@ -136,7 +110,7 @@ class GF:
                 n //= p
                 k += 1
             if n == 1:
-                return cls(p, k, modulus)
+                return cls(p, k)
             if k > 0:
                 break
         raise ValueError(f"{q} is not a prime power")

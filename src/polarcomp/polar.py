@@ -298,17 +298,15 @@ class PolarSpace:
         return self._planes
 
     def hyperplane_candidates(self) -> list[int]:
-        """Perps and ambient-hyperplane sections, deduplicated, fixed order."""
+        """Ambient-hyperplane sections, deduplicated, in covector order.
+
+        Every perp is among them: ``p``'s perp is the section of the covector
+        ``G·p`` (conjugated for hermitian forms).
+        """
         if self._hyp_candidates is None:
             st = self.structure
-            out: list[int] = []
-            seen = set()
-            for p in range(st.n_points):
-                m = st.adj[p]
-                if m != st.full_mask and m not in seen:
-                    seen.add(m)
-                    out.append(m)
             f = self.form.field
+            sections: dict[int, None] = {}
             for cov in pg_points(f, self.form.dim - 1):
                 m = 0
                 for i, pt in enumerate(self.points):
@@ -318,10 +316,9 @@ class PolarSpace:
                             acc = f.add(acc, f.mul(c, x))
                     if acc == 0:
                         m |= 1 << i
-                if m != st.full_mask and m not in seen:
-                    seen.add(m)
-                    out.append(m)
-            self._hyp_candidates = out
+                if m != st.full_mask:
+                    sections[m] = None
+            self._hyp_candidates = list(sections)
         return self._hyp_candidates
 
     def __repr__(self) -> str:

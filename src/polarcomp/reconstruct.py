@@ -6,9 +6,10 @@ each other in a point off them.  Such pairs are found from the crossing
 point: for each proper point ``p`` and each two lines ``t1``, ``t2``
 through it, every line that meets both away from ``p`` is crossed there,
 so any two disjoint lines among them are related.  On top of the
-reflexive-transitive closure of that relation (via union-find) sit the
-anti-euclidean relation on affine lines, its lift to parallel classes, and
-the ternary collinearity test for directions.
+reflexive-transitive closure of that relation (the connected components
+of its symmetric bit rows) sit the anti-euclidean relation on affine
+lines, its lift to parallel classes, and the ternary collinearity test for
+directions.
 
 New points are the parallel classes.  New lines come in two families: sets
 of classes mutually related under the lifted relation (these recover lines
@@ -23,11 +24,10 @@ and kept.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .complement import Complement
 from .errors import HorizonRefusal, IntegrityError
-from .incidence import IncidenceStructure, bits
+from .incidence import IncidenceStructure, bits, mask_of
 
 __all__ = [
     "Parallelism",
@@ -76,43 +76,28 @@ class Parallelism:
                             star[i] |= c & ~self.meets[i]
         self.star_rows = star
 
-        parent = list(range(n))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for i in range(n):
-            for j in bits(star[i] >> (i + 1)):
-                ri, rj = find(i), find(i + 1 + j)
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
-
-        self._affine = [star[i] != 0 for i in range(n)]
-        roots: dict[int, int] = {}
-        members: list[list[int]] = []
+        # Classes: connected components of the symmetric star rows, each
+        # grown from the lowest-id line not yet in a class.
+        self._affine = [row != 0 for row in star]
         cid: dict[int, int] = {}
-        for i in range(n):
-            if not self._affine[i]:
-                continue
-            r = find(i)
-            if r not in roots:
-                roots[r] = len(members)
-                members.append([])
-            cid[i] = roots[r]
-            members[roots[r]].append(i)
-        self.classes: list[tuple[int, ...]] = [tuple(m) for m in members]
+        masks: list[int] = []
+        todo = mask_of(i for i, row in enumerate(star) if row)
+        while todo:
+            cls = frontier = todo & -todo
+            while frontier:
+                reached = 0
+                for i in bits(frontier):
+                    reached |= star[i]
+                frontier = reached & ~cls
+                cls |= frontier
+            todo &= ~cls
+            cid.update(dict.fromkeys(bits(cls), len(masks)))
+            masks.append(cls)
+        self.classes: list[tuple[int, ...]] = [tuple(bits(m)) for m in masks]
         self.class_id = cid
-        self.n_classes = len(self.classes)
-
-        self.class_line_mask = [0] * self.n_classes
-        for k, c in cid.items():
-            self.class_line_mask[c] |= 1 << k
-        self._par_rows = [
-            self.class_line_mask[cid[i]] if self._affine[i] else 0 for i in range(n)
-        ]
+        self.class_line_mask = masks
+        self.n_classes = len(masks)
+        self._par_rows = [masks[cid[i]] if self._affine[i] else 0 for i in range(n)]
 
         # reach[k]: classes having a member through some point of line k.
         point_classes: dict[int, int] = {}
@@ -307,32 +292,52 @@ def canonical_map(recon: ReconstructedStructure) -> dict[int, int]:
     return mapping
 
 
+def _stage(build):
+    """A :class:`Run` stage, built on first read.  Its value, or the exception
+    building it raised, is kept and handed to every later reader."""
+
+    def read(run):
+        if build not in run._kept:
+            try:
+                run._kept[build] = (build(run), None)
+            except Exception as exc:
+                run._kept[build] = (None, exc)
+        value, exc = run._kept[build]
+        if exc is not None:
+            raise exc
+        return value
+
+    return property(read)
+
+
 class Run:
     """One configuration's derived stages, each built on first use and kept.
 
     Over a hyperplane horizon (``delegated``) there is no parallelism and the
     reconstruction refuses: that case is recovered by a different
-    construction and is out of scope here.  A stage that raises is not
-    kept, so every reader sees the error.
+    construction and is out of scope here.  A stage that raises keeps its
+    exception and re-raises it to every reader, so a failing stage is built
+    once however many readers ask for it.
     """
 
     def __init__(self, comp: Complement):
         self.complement = comp
+        self._kept: dict = {}
 
-    @cached_property
+    @_stage
     def delegated(self) -> bool:
         return self.complement.base.structure.is_hyperplane(self.complement.horizon)
 
-    @cached_property
+    @_stage
     def parallelism(self) -> Parallelism | None:
         return None if self.delegated else Parallelism(self.complement)
 
-    @cached_property
+    @_stage
     def reconstruction(self) -> ReconstructedStructure:
         if self.parallelism is None:
             raise HorizonRefusal("hyperplane horizon: delegated case")
         return reconstruct(self.parallelism)
 
-    @cached_property
+    @_stage
     def canonical_map(self) -> dict[int, int]:
         return canonical_map(self.reconstruction)

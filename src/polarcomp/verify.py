@@ -207,9 +207,6 @@ def _timed(check_id: str, fn) -> CheckResult:
     try:
         witness = fn()
         status = "pass" if witness is None else "fail"
-        if witness is not None and witness.get("status") == "skip":
-            status = "skip"
-            witness = witness.get("witness")
     except (LemmaFalsified, IntegrityError, ValueError) as exc:
         status, witness = "fail", {"error": str(exc)}
     except Exception as exc:  # the battery reports; it never raises
@@ -229,9 +226,7 @@ def _ground_direction(comp: Complement, members: tuple[int, ...]) -> int | None:
 def _horizon_line_between(comp: Complement, d1: int, d2: int) -> int | None:
     """Base id of the line through two horizon points if it lies in the horizon."""
     st = comp.base.structure
-    if d1 == d2 or not st.collinear(d1, d2):
-        return None
-    li = st.line_through(d1, d2)
+    li = None if d1 == d2 else st.line_through(d1, d2)
     if li is None or st.line_masks[li] & ~comp.horizon:
         return None
     return li
@@ -246,13 +241,7 @@ def run_lemma_battery(run: Run, *, seed: int = 0, exhaustive: bool = False) -> l
     comp = run.complement
     st = comp.base.structure
     rnd = random.Random(seed)
-    results: list[CheckResult] = []
-
-    # Over a hyperplane horizon only the ground-side properties are in scope:
-    # recovery is delegated, and the crossing configuration has no room in
-    # the order-2 affine planes such a horizon leaves behind.
     delegated = run.delegated
-    DELEGATED = {"status": "skip", "witness": {"reason": "hyperplane horizon: delegated case"}}
 
     def check_partial_linear() -> dict | None:
         return _partial_linear_witness(comp.structure())
@@ -339,8 +328,6 @@ def run_lemma_battery(run: Run, *, seed: int = 0, exhaustive: bool = False) -> l
         return None
 
     def check_parallel_tables_match() -> dict | None:
-        if delegated:
-            return DELEGATED
         intrinsic = run.parallelism.table()
         ground = comp.parallel_table()
         for k in range(comp.n_lines):
@@ -354,16 +341,12 @@ def run_lemma_battery(run: Run, *, seed: int = 0, exhaustive: bool = False) -> l
         return None
 
     def check_self_parallel_affine() -> dict | None:
-        if delegated:
-            return DELEGATED
         for k in comp.affine_lines():
             if not run.parallelism.parallel(k, k):
                 return {"line": k, "reason": "affine line is not self-parallel"}
         return None
 
     def check_affine_detection() -> dict | None:
-        if delegated:
-            return DELEGATED
         intrinsic = set(run.parallelism.affine_ids())
         ground = set(comp.affine_lines())
         if intrinsic != ground:
@@ -373,6 +356,7 @@ def run_lemma_battery(run: Run, *, seed: int = 0, exhaustive: bool = False) -> l
             }
         return None
 
+    @cache
     def class_directions() -> list[int] | dict:
         dirs = []
         for c, members in enumerate(run.parallelism.classes):
@@ -382,12 +366,18 @@ def run_lemma_battery(run: Run, *, seed: int = 0, exhaustive: bool = False) -> l
             dirs.append(d)
         return dirs
 
-    def check_deep_line_equivalence() -> dict | None:
-        if delegated:
-            return DELEGATED
-        dirs = class_directions()
-        if isinstance(dirs, dict):
-            return dirs
+    def with_directions(check):
+        """Hand ``check`` the ground direction of every class, or fail with
+        the first class that has none."""
+
+        def checked() -> dict | None:
+            dirs = class_directions()
+            return dirs if isinstance(dirs, dict) else check(dirs)
+
+        return checked
+
+    @with_directions
+    def check_deep_line_equivalence(dirs: list[int]) -> dict | None:
         deep = set(comp.deep_lines())
         p = run.parallelism
         for c1 in range(p.n_classes):
@@ -402,12 +392,8 @@ def run_lemma_battery(run: Run, *, seed: int = 0, exhaustive: bool = False) -> l
                     }
         return None
 
-    def check_equiv_triples_collinear() -> dict | None:
-        if delegated:
-            return DELEGATED
-        dirs = class_directions()
-        if isinstance(dirs, dict):
-            return dirs
+    @with_directions
+    def check_equiv_triples_collinear(dirs: list[int]) -> dict | None:
         p = run.parallelism
         related = [
             (c1, c2)
@@ -422,18 +408,14 @@ def run_lemma_battery(run: Run, *, seed: int = 0, exhaustive: bool = False) -> l
             for c3 in by_first.get(c2, ()):
                 if not p.equiv(c1, c3):
                     continue
-                line = st.line_through(dirs[c1], dirs[c2]) if st.collinear(dirs[c1], dirs[c2]) else None
+                line = st.line_through(dirs[c1], dirs[c2])
                 on_line = line is not None and (st.line_masks[line] >> dirs[c3]) & 1
                 if not on_line:
                     return {"classes": [c1, c2, c3], "directions": [dirs[c1], dirs[c2], dirs[c3]]}
         return None
 
-    def check_ternary_collinearity() -> dict | None:
-        if delegated:
-            return DELEGATED
-        dirs = class_directions()
-        if isinstance(dirs, dict):
-            return dirs
+    @with_directions
+    def check_ternary_collinearity(dirs: list[int]) -> dict | None:
         p = run.parallelism
         nc = p.n_classes
         if nc < 3:
@@ -451,7 +433,7 @@ def run_lemma_battery(run: Run, *, seed: int = 0, exhaustive: bool = False) -> l
                 chosen.add(tuple(sorted(rnd.sample(range(nc), 3))))
             triples = sorted(chosen)
         for c1, c2, c3 in triples:
-            line = st.line_through(dirs[c1], dirs[c2]) if st.collinear(dirs[c1], dirs[c2]) else None
+            line = st.line_through(dirs[c1], dirs[c2])
             ground = line is not None and (st.line_masks[line] >> dirs[c3]) & 1
             if p.ternary_collinear(c1, c2, c3) != bool(ground):
                 return {
@@ -461,12 +443,8 @@ def run_lemma_battery(run: Run, *, seed: int = 0, exhaustive: bool = False) -> l
                 }
         return None
 
-    def check_new_line_families() -> dict | None:
-        if delegated:
-            return DELEGATED
-        dirs = class_directions()
-        if isinstance(dirs, dict):
-            return dirs
+    @with_directions
+    def check_new_line_families(dirs: list[int]) -> dict | None:
         p = run.parallelism
         prime = p.lines_prime()
         second = p.lines_second()
@@ -508,12 +486,8 @@ def run_lemma_battery(run: Run, *, seed: int = 0, exhaustive: bool = False) -> l
             }
         return None
 
-    def check_class_point_bijection() -> dict | None:
-        if delegated:
-            return DELEGATED
-        dirs = class_directions()
-        if isinstance(dirs, dict):
-            return dirs
+    @with_directions
+    def check_class_point_bijection(dirs: list[int]) -> dict | None:
         if len(set(dirs)) != len(dirs):
             return {"reason": "two classes share a direction"}
         covered = mask_of(dirs)
@@ -526,17 +500,17 @@ def run_lemma_battery(run: Run, *, seed: int = 0, exhaustive: bool = False) -> l
         return None
 
     def check_ambient_recovery() -> dict | None:
-        if delegated:
-            return DELEGATED
         ok, cert = is_isomorphism(run.reconstruction.structure, st, run.canonical_map)
         return None if ok else cert
 
-    checks = [
+    ground = [
         ("partial_linear", check_partial_linear),
         ("affine_fibration", check_affine_fibration),
         ("deep_points", check_deep_points),
         ("avoiding_hyperplane", check_avoiding_hyperplane),
         ("plane_chains", check_plane_chains),
+    ]
+    intrinsic = [
         ("parallel_tables_match", check_parallel_tables_match),
         ("self_parallel_affine", check_self_parallel_affine),
         ("affine_detection", check_affine_detection),
@@ -547,6 +521,11 @@ def run_lemma_battery(run: Run, *, seed: int = 0, exhaustive: bool = False) -> l
         ("class_point_bijection", check_class_point_bijection),
         ("ambient_recovery", check_ambient_recovery),
     ]
-    for check_id, fn in checks:
-        results.append(_timed(check_id, fn))
-    return results
+    results = [_timed(check_id, fn) for check_id, fn in ground]
+    # Over a hyperplane horizon only the ground-side properties are in scope:
+    # recovery is delegated, and the crossing configuration has no room in
+    # the order-2 affine planes such a horizon leaves behind.
+    if delegated:
+        reason = "hyperplane horizon: delegated case"
+        return results + [CheckResult(check_id, "skip", {"reason": reason}) for check_id, _ in intrinsic]
+    return results + [_timed(check_id, fn) for check_id, fn in intrinsic]

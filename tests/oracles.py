@@ -4,8 +4,23 @@ These follow the definitions pair by pair and are far too slow for larger
 spaces; the tests use them only as oracles.
 """
 
-from polarcomp.algebra import normalize_point
+import itertools
+
+from polarcomp.algebra import _poly_mod, _poly_trim, normalize_point
 from polarcomp.incidence import bits
+
+
+def is_irreducible(modulus, p):
+    """Trial division by every monic polynomial of degree up to deg/2."""
+    mod = _poly_trim(modulus)
+    deg = len(mod) - 1
+    if deg < 1:
+        return False
+    for d in range(1, deg // 2 + 1):
+        for tail in itertools.product(range(p), repeat=d):
+            if len(_poly_mod(mod, list(tail) + [1], p)) == 0:
+                return False
+    return True
 
 
 def _span3_mask(ps, index, a, b, c):

@@ -19,11 +19,11 @@ from polarcomp import (
     drop_proper_line,
     find_isomorphism,
     is_isomorphism,
-    reconstruct,
     run_lemma_battery,
 )
 from polarcomp.cli import main as cli_main
 from polarcomp.incidence import bits
+from polarcomp.reconstruct import reconstruct
 
 
 def _report(num, ok, detail=""):

@@ -8,6 +8,8 @@ down the choice of modulus on top.
 import pytest
 
 from polarcomp import GF, normalize_point, pg_line, pg_points
+from polarcomp.algebra import DEFAULT_MODULI
+from oracles import is_irreducible
 
 ORDERS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16]
 
@@ -165,18 +167,14 @@ def test_constructor_validation():
         GF(4)  # not a prime characteristic
     with pytest.raises(ValueError):
         GF(2, 0)
-    with pytest.raises(ValueError):
-        GF(2, 3, modulus=(1, 0, 0, 1))  # x^3 + 1 factors
-    with pytest.raises(ValueError):
-        GF(2, 2, modulus=(1, 1))  # degree mismatch
 
 
-def test_custom_modulus():
-    """An alternative irreducible modulus gives a different but valid field."""
-    f = GF(3, 2, modulus=(2, 1, 1))  # x^2 + x + 2
-    assert f != GF.of_order(9)
-    for a in range(1, 9):
-        assert f.mul(a, f.inv(a)) == 1
+def test_default_moduli_are_irreducible():
+    for (p, k), modulus in DEFAULT_MODULI.items():
+        assert len(modulus) == k + 1 and modulus[-1] == 1
+        assert is_irreducible(modulus, p), (p, k)
+    assert not is_irreducible((1, 0, 0, 1), 2)  # x^3 + 1 = (x + 1)(x^2 + x + 1)
+    assert not is_irreducible((2, 0, 1), 3)  # x^2 - 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,15 @@
 """Command-line behavior: payloads, exit codes, determinism."""
 
 import hashlib
-import importlib
 import json
 import sys
 from collections import Counter
 
 import pytest
 
+import polarcomp.reconstruct as reconstruct_module
 from polarcomp.cli import load_incidence, main
 from polarcomp.reconstruct import Parallelism
-
-# the package re-exports the function ``reconstruct`` under the module's name
-reconstruct_module = importlib.import_module("polarcomp.reconstruct")
 
 
 def run_cli(*argv):

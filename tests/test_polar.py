@@ -192,7 +192,7 @@ def test_lines_per_point(sp62, q52):
     assert all(len(q52.structure.lines_at(p)) == 9 for p in range(35))
 
 
-def test_hyperplane_candidates(sp62, q52, q62):
+def test_hyperplane_candidates(sp62, q52, q62, gf2, gf4):
     # for the symplectic and hyperbolic models every ambient section is a
     # perp; the parabolic model has genuinely more sections
     assert len(sp62.hyperplane_candidates()) == 63
@@ -201,6 +201,14 @@ def test_hyperplane_candidates(sp62, q52, q62):
     st = sp62.structure
     for h in sp62.hyperplane_candidates():
         assert st.is_hyperplane(h)
+    # every perp is an ambient section, hermitian and rank-2 spaces included
+    rank2 = [
+        PolarSpace.from_form(hermitian_form(3, gf4)),
+        PolarSpace.from_form(elliptic_form(5, gf2)),
+    ]
+    for ps in (sp62, q52, q62, *rank2):
+        cands = set(ps.hyperplane_candidates())
+        assert all(adj in cands for adj in ps.structure.adj)
 
 
 def test_axioms_pass_on_the_three_spaces(sp62, q52, q62):

@@ -8,6 +8,8 @@ horizons at order 2; those horizons are deliberately not in the default
 suite.
 """
 
+import types
+
 import pytest
 
 from polarcomp import (
@@ -18,10 +20,10 @@ from polarcomp import (
     canonical_map,
     drop_proper_line,
     is_isomorphism,
-    reconstruct,
     resolve_horizon,
 )
 from polarcomp.incidence import bits
+from polarcomp.reconstruct import reconstruct
 
 from oracles import star_parallel, star_table
 
@@ -168,6 +170,13 @@ def test_reconstruct_refuses_hyperplane_horizon(sp62):
     assert run.parallelism is None
     with pytest.raises(HorizonRefusal, match="delegated"):
         run.reconstruction
+
+
+def test_package_attribute_is_the_reconstruct_module():
+    import polarcomp.reconstruct as m
+
+    assert isinstance(m, types.ModuleType)
+    assert callable(m.reconstruct)
 
 
 def test_reconstruct_empty_horizon(sp62):

@@ -17,10 +17,10 @@ from polarcomp import (
     is_isomorphism,
     Parallelism,
     Run,
-    reconstruct,
     run_lemma_battery,
 )
 from polarcomp.incidence import bits
+from polarcomp.reconstruct import reconstruct
 from polarcomp.verify import CheckResult
 from oracles import fibration_mismatch
 
@@ -263,11 +263,15 @@ def test_battery_reports_any_exception(comp_point, monkeypatch, exc, witness):
 
 
 def test_battery_reports_a_failing_parallelism(comp_point, monkeypatch):
+    calls = []
+
     def broken(self, comp):
+        calls.append(comp)
         raise RuntimeError("no crossing relation")
 
     monkeypatch.setattr(Parallelism, "__init__", broken)
-    results = {r.check_id: r for r in run_lemma_battery(Run(comp_point), seed=0)}
+    run = Run(comp_point)
+    results = {r.check_id: r for r in run_lemma_battery(run, seed=0)}
     assert list(results) == BATTERY_IDS
     intrinsic = BATTERY_IDS[5:]  # every check from parallel_tables_match on
     for check_id in BATTERY_IDS:
@@ -277,6 +281,10 @@ def test_battery_reports_a_failing_parallelism(comp_point, monkeypatch):
             assert r.witness == {"error": "no crossing relation", "exception": "RuntimeError"}
         else:
             assert r.status == "pass", (check_id, r.witness)
+    # the run keeps the failed stage: one build, re-raised to every reader
+    with pytest.raises(RuntimeError, match="no crossing relation"):
+        run.reconstruction
+    assert len(calls) == 1
 
 
 def test_check_result_serialization():
