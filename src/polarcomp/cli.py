@@ -12,8 +12,9 @@ projective dimension N) and ``herm:N:Q`` (hermitian, Q a square).  Horizons
 use the mini-language of :func:`polarcomp.complement.resolve_horizon`.
 
 All JSON output is canonical: sorted keys, two-space indent, LF endings.
-Exit codes: 0 all good, 1 internal error, 2 configuration error, 3 horizon
-refusal, 10+N when N checks failed.
+Exit codes: 0 all good, 1 internal error (one line, or a traceback under
+``--debug``), 2 configuration error, 3 horizon refusal, 10+N when N checks
+failed.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from pathlib import Path
 
 from .complement import build_complement, resolve_horizon
 from .errors import ConfigurationError, HorizonRefusal, IntegrityError
-from .incidence import IncidenceStructure, bits
+from .incidence import bits
 from .polar import (
     FormSpec,
     PolarSpace,
@@ -100,12 +101,6 @@ def structure_payload(ps: PolarSpace, desc: str) -> dict:
         "lines": [list(line) for line in ps.structure.lines],
         "form": desc,
     }
-
-
-def load_incidence(path: str) -> IncidenceStructure:
-    """Read back the JSON written by ``build`` (or any {n_points, lines})."""
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    return IncidenceStructure(data["n_points"], data["lines"])
 
 
 def cmd_build(args) -> int:
@@ -336,13 +331,17 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Polar spaces, subspace complements, and their reconstruction.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--debug", action="store_true", help="traceback on internal errors")
 
-    p_build = sub.add_parser("build", help="construct a polar space, emit incidence JSON")
+    p_build = sub.add_parser(
+        "build", help="construct a polar space, emit incidence JSON", parents=[common]
+    )
     p_build.add_argument("--form", required=True, help="form descriptor, e.g. sp:6:2")
     p_build.add_argument("--out", default=None, help="output file (default: stdout)")
     p_build.set_defaults(func=cmd_build)
 
-    p_run = sub.add_parser("run", help="cut out a horizon and run tasks")
+    p_run = sub.add_parser("run", help="cut out a horizon and run tasks", parents=[common])
     p_run.add_argument("--form", default=None, help="form descriptor")
     p_run.add_argument("--horizon", default=None, help="horizon spec, e.g. 'point 5'")
     p_run.add_argument(
@@ -363,7 +362,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_run.set_defaults(func=cmd_run)
 
-    p_hor = sub.add_parser("horizons", help="list candidate horizons")
+    p_hor = sub.add_parser("horizons", help="list candidate horizons", parents=[common])
     p_hor.add_argument("--form", required=True)
     p_hor.add_argument(
         "--kind",
@@ -385,7 +384,11 @@ def main(argv=None) -> int:
     except HorizonRefusal as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 3
-    except Exception as exc:  # pragma: no cover - safety net
+    except Exception as exc:
+        if args.debug:
+            import traceback  # only here: it adds to every run's import time
+
+            traceback.print_exc()
         print(f"internal error: {exc}", file=sys.stderr)
         return 1
 

@@ -14,7 +14,7 @@ standalone incidence structure when one is needed.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import HorizonRefusal, LemmaFalsified
 from .incidence import IncidenceStructure, bits, mask_of
@@ -122,18 +122,27 @@ class Complement:
         """Bitmask of proper line ids whose trace lies inside plane ``pi``."""
         if self._plane_lines is None:
             # A proper trace inside a plane has at least two points, so its
-            # whole base line lies in the plane: look lines up from the points.
+            # base line joins two points of the plane.
             st = self.base.structure
             proper_id = {b: k for k, b in enumerate(self.line_closure)}
+
+            def joins(a: int, rest: int) -> Iterator[int]:
+                """Lines from ``a`` to the points of ``rest``, each once."""
+                while rest:
+                    b = st.line_through(a, (rest & -rest).bit_length() - 1)
+                    rest &= ~st.line_masks[b]
+                    yield b
+
             self._plane_lines = []
             for plane in self.planes():
-                m = 0
-                for p in bits(plane):
-                    for b in st.lines_at(p):
-                        k = proper_id.get(b)
-                        if k is not None and not st.line_masks[b] & ~plane:
-                            m |= 1 << k
-                self._plane_lines.append(m)
+                # The lines through the lowest point, then the lines off the
+                # first of them through its other points: each line once.
+                a = (plane & -plane).bit_length() - 1
+                ids = list(joins(a, plane & ~(1 << a)))
+                first = st.line_masks[ids[0]]
+                for p in bits(first & ~(1 << a)):
+                    ids += joins(p, plane & ~first)
+                self._plane_lines.append(mask_of(proper_id[b] for b in ids if b in proper_id))
         return self._plane_lines[pi]
 
     def semiaffine_planes(self) -> list[int]:
@@ -252,7 +261,7 @@ def drop_proper_line(c: Complement, k: int) -> Complement:
     return Complement(c.base, c.horizon, line_ids=keep)
 
 
-def _parse_spec(ps: PolarSpace, tokens: list[str], pos: int) -> tuple[int, int]:
+def _parse_atom(ps: PolarSpace, tokens: list[str], pos: int) -> tuple[int, int]:
     if pos >= len(tokens):
         raise ValueError("horizon spec ended early")
     st = ps.structure
@@ -280,10 +289,6 @@ def _parse_spec(ps: PolarSpace, tokens: list[str], pos: int) -> tuple[int, int]:
         if not 0 <= idx < len(planes):
             raise ValueError(f"plane id {idx} out of range")
         return planes[idx], pos + 2
-    if head == "meet":
-        m1, pos = _parse_spec(ps, tokens, pos + 1)
-        m2, pos = _parse_spec(ps, tokens, pos)
-        return m1 & m2, pos
     if head == "span":
         if pos + 1 >= len(tokens):
             raise ValueError("span needs a point list")
@@ -304,12 +309,20 @@ def resolve_horizon(ps: PolarSpace, text: str) -> int:
     """Parse the horizon mini-language into a point set.
 
     Grammar: ``point N`` | ``line N`` | ``plane N`` | ``perp N`` |
-    ``meet <spec> <spec>`` | ``span N,N,...``.
+    ``meet <spec> <spec>`` | ``span N,N,...``.  A meet intersects, so a spec
+    is the intersection of its atoms; counting the specs still owed parses
+    any nesting depth without recursion.
     """
     tokens = text.split()
     if not tokens:
         return 0
-    mask, pos = _parse_spec(ps, tokens, 0)
+    mask, pos, owed = ps.structure.full_mask, 0, 1
+    while owed:
+        if pos < len(tokens) and tokens[pos] == "meet":
+            pos, owed = pos + 1, owed + 1
+        else:
+            atom, pos = _parse_atom(ps, tokens, pos)
+            mask, owed = mask & atom, owed - 1
     if pos != len(tokens):
         raise ValueError(f"trailing tokens in horizon spec: {' '.join(tokens[pos:])}")
     return mask

@@ -9,8 +9,9 @@ indexed deterministically by the order of :func:`polarcomp.algebra.pg_points`.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .algebra import GF, pg_line, pg_points
 from .errors import ConfigurationError
@@ -59,22 +60,6 @@ class FormSpec:
                 f"vector dimension {self.dim} outside supported range 2..{MAX_VECTOR_DIM}"
             )
 
-    def bilin(self, u: Sequence[int], v: Sequence[int]) -> int:
-        """Gram product; the right argument is conjugated for hermitian forms."""
-        f = self.field
-        if self.kind == "hermitian":
-            v = tuple(f.conj(x) for x in v)
-        acc = 0
-        for i, ui in enumerate(u):
-            if ui == 0:
-                continue
-            row = self.gram[i]
-            for j, vj in enumerate(v):
-                c = row[j]
-                if c and vj:
-                    acc = f.add(acc, f.mul(ui, f.mul(c, vj)))
-        return acc
-
     def quad_value(self, v: Sequence[int]) -> int:
         if self.quad is None:
             raise ValueError(f"{self.kind} form has no quadratic part")
@@ -95,11 +80,26 @@ class FormSpec:
             return True
         if self.kind in QUADRATIC_KINDS:
             return self.quad_value(v) == 0
-        return self.bilin(v, v) == 0
+        acc = 0
+        for c, x in zip(self.perp_covector(v), v):
+            acc = self.field.add(acc, self.field.mul(c, x))
+        return acc == 0
 
-    def pair_perp(self, u: Sequence[int], v: Sequence[int]) -> bool:
-        """True iff the two vectors are orthogonal under the reflexive form."""
-        return self.bilin(u, v) == 0
+    def perp_covector(self, u: Sequence[int]) -> tuple[int, ...]:
+        """The covector ``c`` with ``u`` orthogonal to ``v`` iff ``sum c_j v_j == 0``.
+
+        It is ``u·G``, conjugated for hermitian forms (whose Gram product
+        conjugates its right argument).
+        """
+        f = self.field
+        cov = []
+        for j in range(self.dim):
+            acc = 0
+            for ui, row in zip(u, self.gram):
+                if ui and row[j]:
+                    acc = f.add(acc, f.mul(ui, row[j]))
+            cov.append(f.conj(acc) if self.kind == "hermitian" else acc)
+        return tuple(cov)
 
 
 def _polarize(field: GF, quad: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
@@ -157,26 +157,16 @@ def parabolic_form(pdim: int, field: GF) -> FormSpec:
     return _quad_form("parabolic", field, dim, quad)
 
 
-def _anisotropic_coeff(field: GF) -> int:
+def _anisotropic_coeff(f: GF) -> int:
     """A coefficient d making x^2 + xy + d*y^2 anisotropic over the field."""
-    for d in range(1, field.q):
-        ok = True
-        for x in range(field.q):
-            for y in range(field.q):
-                if x == 0 and y == 0:
-                    continue
-                val = field.add(
-                    field.add(field.mul(x, x), field.mul(x, y)),
-                    field.mul(d, field.mul(y, y)),
-                )
-                if val == 0:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+    for d in range(1, f.q):
+        values = (
+            f.add(f.add(f.mul(x, x), f.mul(x, y)), f.mul(d, f.mul(y, y)))
+            for x in range(f.q) for y in range(f.q) if x or y
+        )
+        if all(values):
             return d
-    raise ConfigurationError(f"no anisotropic binary quadratic form over GF({field.q})")
+    raise ConfigurationError(f"no anisotropic binary quadratic form over GF({f.q})")
 
 
 def elliptic_form(pdim: int, field: GF) -> FormSpec:
@@ -203,6 +193,30 @@ def hermitian_form(pdim: int, field: GF) -> FormSpec:
     return FormSpec("hermitian", field, dim, g)
 
 
+def _sections(
+    field: GF, pts: list[tuple[int, ...]], covectors: Iterable[Sequence[int]]
+) -> Iterator[int]:
+    """Masks of the points ``x`` with ``sum c_j x_j == 0``, one per covector ``c``:
+    masks of the points with ``x_j = v`` fold partial-sum masks one coordinate
+    at a time, about dim * q**2 mask operations per covector."""
+    value = [[0] * field.q for _ in range(len(pts[0]))]
+    for i, pt in enumerate(pts):
+        for j, x in enumerate(pt):
+            value[j][x] |= 1 << i
+    for cov in covectors:
+        partial = [(1 << len(pts)) - 1] + [0] * (field.q - 1)
+        for c, col in zip(cov, value):
+            if c:
+                step = [0] * field.q
+                for v, m in enumerate(col):
+                    cv = field.mul(c, v)
+                    for s, pm in enumerate(partial):
+                        if pm & m:
+                            step[field.add(s, cv)] |= pm & m
+                partial = step
+        yield partial[0]
+
+
 def compute_rank(st: IncidenceStructure) -> int:
     """Length of a maximal chain of nonempty singular subspaces.
 
@@ -216,13 +230,7 @@ def compute_rank(st: IncidenceStructure) -> int:
     cur = 1
     rank = 1
     while True:
-        found = None
-        for x in range(st.n_points):
-            if (cur >> x) & 1:
-                continue
-            if not cur & ~st.adj[x]:
-                found = x
-                break
+        found = next((x for x in bits(st.full_mask & ~cur) if not cur & ~st.adj[x]), None)
         if found is None:
             return rank
         cur = st.closure_of(cur | (1 << found))
@@ -258,14 +266,17 @@ class PolarSpace:
         # line is built once, from its first orthogonal pair.
         joined = [1 << i for i in range(len(pts))]
         lines = []
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                if not (joined[i] >> j) & 1 and form.pair_perp(pts[i], pts[j]):
-                    line = tuple(sorted(index[p] for p in pg_line(field, pts[i], pts[j])))
-                    m = mask_of(line)
-                    for p in line:
-                        joined[p] |= m
-                    lines.append(line)
+        perps = _sections(field, pts, (form.perp_covector(p) for p in pts))
+        for i, perp in enumerate(perps):
+            rest = perp & ~joined[i] & ~((2 << i) - 1)
+            while rest:
+                j = (rest & -rest).bit_length() - 1
+                line = tuple(sorted(index[p] for p in pg_line(field, pts[i], pts[j])))
+                m = mask_of(line)
+                for p in line:
+                    joined[p] |= m
+                lines.append(line)
+                rest &= ~m
         st = IncidenceStructure(len(pts), sorted(lines))
         for p in range(st.n_points):
             if st.adj[p] == st.full_mask:
@@ -301,24 +312,13 @@ class PolarSpace:
         """Ambient-hyperplane sections, deduplicated, in covector order.
 
         Every perp is among them: ``p``'s perp is the section of the covector
-        ``G·p`` (conjugated for hermitian forms).
+        ``form.perp_covector(p)``.
         """
         if self._hyp_candidates is None:
-            st = self.structure
             f = self.form.field
-            sections: dict[int, None] = {}
-            for cov in pg_points(f, self.form.dim - 1):
-                m = 0
-                for i, pt in enumerate(self.points):
-                    acc = 0
-                    for c, x in zip(cov, pt):
-                        if c and x:
-                            acc = f.add(acc, f.mul(c, x))
-                    if acc == 0:
-                        m |= 1 << i
-                if m != st.full_mask:
-                    sections[m] = None
-            self._hyp_candidates = list(sections)
+            sections = _sections(f, self.points, pg_points(f, self.form.dim - 1))
+            full = self.structure.full_mask
+            self._hyp_candidates = list(dict.fromkeys(m for m in sections if m != full))
         return self._hyp_candidates
 
     def __repr__(self) -> str:
@@ -363,24 +363,31 @@ class AxiomReport:
 
 def _partial_linear_witness(st: IncidenceStructure) -> dict | None:
     for p in range(st.n_points):
-        ids = st.lines_at(p)
-        for x in range(len(ids)):
-            for y in range(x + 1, len(ids)):
-                i, j = ids[x], ids[y]
-                if (st.line_masks[i] & st.line_masks[j]).bit_count() > 1:
-                    return {"lines": [i, j]}
+        # Two lines through p overlap twice iff they share a point besides p.
+        others = 0
+        for i in st.lines_at(p):
+            m = st.line_masks[i] & ~(1 << p)
+            if m & others:
+                pairs = itertools.combinations(st.lines_at(p), 2)
+                lm = st.line_masks
+                return next({"lines": [a, b]} for a, b in pairs if (lm[a] & lm[b]).bit_count() > 1)
+            others |= m
     return None
 
 
 def _one_or_all_witness(st: IncidenceStructure) -> dict | None:
     for i, m in enumerate(st.line_masks):
-        size = len(st.lines[i])
-        for a in range(st.n_points):
-            if (m >> a) & 1:
-                continue
-            c = (st.adj[a] & m).bit_count()
-            if c != 1 and c != size:
-                return {"point": a, "line": i, "collinear_count": c}
+        # Points collinear with at least one, at least two and all points of the line.
+        once = twice = 0
+        every = st.full_mask
+        for p in st.lines[i]:
+            twice |= once & st.adj[p]
+            once |= st.adj[p]
+            every &= st.adj[p]
+        bad = st.full_mask & ~m & (~once | (twice & ~every))
+        if bad:
+            a = (bad & -bad).bit_length() - 1
+            return {"point": a, "line": i, "collinear_count": (st.adj[a] & m).bit_count()}
     return None
 
 

@@ -6,7 +6,7 @@ spaces; the tests use them only as oracles.
 
 import itertools
 
-from polarcomp.algebra import _poly_mod, _poly_trim, normalize_point
+from polarcomp.algebra import _poly_mod, _poly_trim, normalize_point, pg_line, pg_points
 from polarcomp.incidence import bits
 
 
@@ -21,6 +21,77 @@ def is_irreducible(modulus, p):
             if len(_poly_mod(mod, list(tail) + [1], p)) == 0:
                 return False
     return True
+
+
+def bilin(form, u, v):
+    """Gram product; the right argument is conjugated for hermitian forms."""
+    f = form.field
+    if form.kind == "hermitian":
+        v = tuple(f.conj(x) for x in v)
+    acc = 0
+    for ui, row in zip(u, form.gram):
+        for c, vj in zip(row, v):
+            acc = f.add(acc, f.mul(ui, f.mul(c, vj)))
+    return acc
+
+
+def pair_perp(form, u, v):
+    """True iff the two vectors are orthogonal under the reflexive form."""
+    return bilin(form, u, v) == 0
+
+
+def form_lines(ps):
+    """Sorted lines of the space: the span of every orthogonal point pair."""
+    f = ps.form.field
+    index = {p: i for i, p in enumerate(ps.points)}
+    lines = set()
+    for u, v in itertools.combinations(ps.points, 2):
+        if pair_perp(ps.form, u, v):
+            lines.add(tuple(sorted(index[p] for p in pg_line(f, u, v))))
+    return sorted(lines)
+
+
+def hyperplane_sections(ps):
+    """Ambient-hyperplane sections other than the whole space, first occurrence
+    in covector order, each covector evaluated on every point."""
+    f = ps.form.field
+    sections = []
+    for cov in pg_points(f, ps.form.dim - 1):
+        m = 0
+        for i, pt in enumerate(ps.points):
+            acc = 0
+            for c, x in zip(cov, pt):
+                acc = f.add(acc, f.mul(c, x))
+            if acc == 0:
+                m |= 1 << i
+        if m != ps.structure.full_mask and m not in sections:
+            sections.append(m)
+    return sections
+
+
+def partial_linear_scan(st):
+    """First two lines through a common point that share a second point."""
+    for p in range(st.n_points):
+        ids = st.lines_at(p)
+        for x in range(len(ids)):
+            for y in range(x + 1, len(ids)):
+                i, j = ids[x], ids[y]
+                if (st.line_masks[i] & st.line_masks[j]).bit_count() > 1:
+                    return {"lines": [i, j]}
+    return None
+
+
+def one_or_all_scan(st):
+    """First line and point off it collinear with neither one nor all of its points."""
+    for i, m in enumerate(st.line_masks):
+        size = len(st.lines[i])
+        for a in range(st.n_points):
+            if (m >> a) & 1:
+                continue
+            c = (st.adj[a] & m).bit_count()
+            if c != 1 and c != size:
+                return {"point": a, "line": i, "collinear_count": c}
+    return None
 
 
 def _span3_mask(ps, index, a, b, c):

@@ -7,8 +7,10 @@ from collections import Counter
 
 import pytest
 
+import polarcomp.cli as cli_module
 import polarcomp.reconstruct as reconstruct_module
-from polarcomp.cli import load_incidence, main
+from polarcomp.cli import main
+from polarcomp.incidence import IncidenceStructure
 from polarcomp.reconstruct import Parallelism
 
 
@@ -18,6 +20,12 @@ def run_cli(*argv):
 
 def read(path):
     return json.loads(path.read_text(encoding="utf-8"))
+
+
+def load_incidence(path):
+    """Read back the JSON written by ``build`` (or any {n_points, lines})."""
+    data = read(path)
+    return IncidenceStructure(data["n_points"], data["lines"])
 
 
 # ---------------------------------------------------------------------------
@@ -46,7 +54,24 @@ def test_build_hyperbolic_counts(tmp_path, capsys):
 def test_build_roundtrip(tmp_path, sp62):
     out = tmp_path / "sp62.json"
     assert run_cli("build", "--form", "sp:6:2", "--out", str(out)) == 0
-    assert load_incidence(str(out)) == sp62.structure
+    assert load_incidence(out) == sp62.structure
+
+
+@pytest.mark.parametrize("debug", [False, True])
+def test_internal_error_exits_1_with_traceback_under_debug(debug, monkeypatch, capsys):
+    def failing_stage(form):
+        raise RuntimeError("stage broke")
+
+    monkeypatch.setattr(cli_module, "build_polar", failing_stage)
+    assert run_cli("build", "--form", "sp:6:2", *(["--debug"] if debug else [])) == 1
+    err = capsys.readouterr().err
+    assert err.endswith("internal error: stage broke\n")
+    if debug:
+        assert err.startswith("Traceback (most recent call last):")
+        assert "RuntimeError: stage broke" in err
+        assert "failing_stage" in err
+    else:
+        assert err == "internal error: stage broke\n"
 
 
 def test_build_rejects_low_rank(capsys):

@@ -1,6 +1,8 @@
 """Complements: proper points and lines, horizon data, searches, resolver."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from polarcomp import (
     Complement,
@@ -312,6 +314,16 @@ def test_resolver_nested_meet(sp62):
     st = sp62.structure
     spec = "meet perp 0 meet perp 1 perp 2"
     assert resolve_horizon(sp62, spec) == st.adj[0] & st.adj[1] & st.adj[2]
+    spec = "meet meet perp 0 perp 1 meet line 0 perp 2"
+    assert resolve_horizon(sp62, spec) == st.adj[0] & st.adj[1] & st.line_masks[0] & st.adj[2]
+
+
+def test_resolver_nesting_is_not_bounded_by_recursion(sp62):
+    st = sp62.structure
+    deep = "meet perp 0 " * 5000
+    assert resolve_horizon(sp62, deep + "perp 1") == st.adj[0] & st.adj[1]
+    with pytest.raises(ValueError, match="ended early"):
+        resolve_horizon(sp62, deep)
 
 
 @pytest.mark.parametrize(
@@ -334,3 +346,23 @@ def test_resolver_nested_meet(sp62):
 def test_resolver_rejects_malformed_specs(sp62, spec):
     with pytest.raises(ValueError):
         resolve_horizon(sp62, spec)
+
+
+_SPEC_TOKEN = hst.one_of(
+    hst.sampled_from(["point", "line", "plane", "perp", "meet", "span"]),
+    hst.integers(-5, 400).map(str),
+    hst.lists(hst.integers(-3, 70), max_size=4).map(lambda ids: ",".join(map(str, ids))),
+    hst.text(max_size=6),
+)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(hst.lists(_SPEC_TOKEN, max_size=8).map(" ".join))
+def test_resolver_raises_only_value_error(sp62, text):
+    st = sp62.structure
+    try:
+        mask = resolve_horizon(sp62, text)
+    except ValueError:
+        return
+    assert not mask & ~st.full_mask
+    assert st.is_subspace(mask)

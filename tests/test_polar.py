@@ -5,6 +5,8 @@ symplectic, quadric and hermitian spaces, which double as oracles for the
 enumeration code.
 """
 
+import functools
+
 import pytest
 
 from polarcomp import (
@@ -25,7 +27,23 @@ from polarcomp import (
 from polarcomp import polar as polar_module
 from polarcomp.cli import parse_form
 from polarcomp.incidence import bits
-from oracles import span_planes
+from polarcomp.polar import _one_or_all_witness, _partial_linear_witness
+from oracles import (
+    form_lines,
+    hyperplane_sections,
+    one_or_all_scan,
+    pair_perp,
+    partial_linear_scan,
+    span_planes,
+)
+
+ORACLE_SPACES = ["sp:6:2", "q+:5:2", "q:6:2", "q+:5:3", "q-:7:2", "herm:3:4"]
+
+
+@functools.cache
+def _space(desc):
+    """One build per descriptor for the whole session; rank 2 allowed."""
+    return PolarSpace.from_form(parse_form(desc))
 
 
 def test_sp62_counts(sp62):
@@ -100,11 +118,69 @@ def _is_singular_plane(st, plane, q):
     ],
 )
 def test_singular_planes_of_larger_spaces(desc, q, n_planes):
-    ps = build_polar(parse_form(desc))
+    ps = _space(desc)
     planes = ps.singular_planes()
     assert len(planes) == n_planes
     assert len(set(planes)) == n_planes
     assert all(_is_singular_plane(ps.structure, m, q) for m in planes)
+
+
+@pytest.mark.parametrize(
+    "desc, rank", [("herm:5:4", 3), ("q:6:3", 3), ("sp:8:2", 4)]
+)
+def test_axioms_and_rank_of_larger_spaces(desc, rank):
+    ps = _space(desc)
+    assert ps.rank == rank
+    rep = check_polar_axioms(ps)
+    assert rep.all_ok, rep.witnesses
+    assert rep.rank == rank
+
+
+@pytest.mark.parametrize("desc", ORACLE_SPACES)
+def test_lines_match_pairwise_oracle(desc):
+    ps = _space(desc)
+    assert ps.structure.lines == form_lines(ps)
+
+
+@pytest.mark.parametrize("desc", ORACLE_SPACES)
+def test_hyperplane_candidates_match_oracle(desc):
+    ps = _space(desc)
+    assert ps.hyperplane_candidates() == hyperplane_sections(ps)
+
+
+@pytest.mark.parametrize("desc", ORACLE_SPACES)
+def test_axiom_witnesses_match_oracles(desc):
+    st = _space(desc).structure
+    lines = st.lines
+    mid = len(lines) // 2
+    far = [p for p in range(st.n_points) if not st.collinear(0, p)]
+
+    def overlap(i, off):
+        """A second line on point 0 and another point of line ``i``."""
+        return tuple(sorted((0, next(p for p in lines[i] if p), off)))
+
+    # Through point 0, "two overlaps" makes a later pair overlap first in
+    # line order but an earlier line overlap first in pair order.
+    first, middle = st.lines_at(0)[0], st.lines_at(0)[len(st.lines_at(0)) // 2]
+    variants = {
+        "intact": lines,
+        "overlap first": [overlap(first, far[0]), *lines],
+        "overlap middle": [*lines[:mid], overlap(middle, far[0]), *lines[mid:]],
+        "overlap twice": [
+            *lines[:middle + 1], overlap(middle, far[0]), *lines[middle + 1:],
+            overlap(first, far[1]),
+        ],
+        "dropped first": lines[1:],
+        "dropped middle": lines[:mid] + lines[mid + 1:],
+    }
+    for name, variant in variants.items():
+        tampered = IncidenceStructure(st.n_points, variant)
+        pl = _partial_linear_witness(tampered)
+        oa = _one_or_all_witness(tampered)
+        assert pl == partial_linear_scan(tampered), name
+        assert oa == one_or_all_scan(tampered), name
+        assert (pl is not None) == name.startswith("overlap"), name
+        assert (oa is None) == (name == "intact"), name
 
 
 def test_from_form_builds_each_line_once(gf3, monkeypatch):
@@ -174,9 +250,9 @@ def test_form_perp_matches_collinearity(sp62):
     st = sp62.structure
     n = st.n_points
     for a in range(n):
-        assert sp62.form.pair_perp(sp62.points[a], sp62.points[a])
+        assert pair_perp(sp62.form, sp62.points[a], sp62.points[a])
         for b in range(a + 1, n):
-            assert sp62.form.pair_perp(sp62.points[a], sp62.points[b]) == st.collinear(a, b)
+            assert pair_perp(sp62.form, sp62.points[a], sp62.points[b]) == st.collinear(a, b)
 
 
 def test_perp_sizes_and_hyperplanes(sp62, q52):
