@@ -41,7 +41,7 @@ from .polar import (
 )
 from .algebra import GF
 from .reconstruct import Run
-from .verify import find_isomorphism, is_isomorphism, run_lemma_battery
+from .verify import find_isomorphism, run_lemma_battery
 
 DEFAULT_TASKS = ("axioms", "complement", "lemmas", "reconstruct", "verify")
 
@@ -167,12 +167,12 @@ def _run_single(
     if "reconstruct" not in tasks and "verify" not in tasks:
         return failed
     recon = run.reconstruction
-    try:
-        cmap, map_error = run.canonical_map, None
-    except IntegrityError as exc:
-        cmap, map_error = None, str(exc)
 
     if "reconstruct" in tasks:
+        try:
+            cmap, map_error = run.canonical_map, None
+        except IntegrityError as exc:
+            cmap, map_error = None, str(exc)
         payload = {
             "n_points": recon.structure.n_points,
             "n_proper_points": recon.n_proper,
@@ -188,17 +188,14 @@ def _run_single(
         _emit(payload, str(outdir / "reconstruction.json"))
 
     if "verify" in tasks:
-        payload = {}
-        if cmap is None:
-            payload["canonical_isomorphism"] = False
-            payload["violation"] = {"error": map_error}
+        try:
+            ok, cert = run.canonical_isomorphism
+        except IntegrityError as exc:  # no canonical map
+            ok, cert = False, {"error": str(exc)}
+        payload = {"canonical_isomorphism": ok}
+        if not ok:
+            payload["violation"] = cert
             failed += 1
-        else:
-            ok, cert = is_isomorphism(recon.structure, ps.structure, cmap)
-            payload["canonical_isomorphism"] = ok
-            if not ok:
-                payload["violation"] = cert
-                failed += 1
         found = find_isomorphism(ps.structure, recon.structure)
         payload["independent_search"] = {
             "found": found is not None,
@@ -219,14 +216,6 @@ def _parse_tasks(text: str) -> list[str]:
     if bad:
         raise ConfigurationError(f"unknown tasks: {', '.join(bad)}")
     return tasks
-
-
-def _noncollinear_pair(ps: PolarSpace) -> tuple[int, int]:
-    st = ps.structure
-    for j in range(1, st.n_points):
-        if not st.collinear(0, j):
-            return 0, j
-    raise ConfigurationError("space has no noncollinear pair")
 
 
 def default_suite() -> list[tuple[str, str]]:
@@ -250,47 +239,34 @@ def _sanitize(text: str) -> str:
 def cmd_run(args) -> int:
     tasks = _parse_tasks(args.tasks)
     if args.suite:
-        total_failed = 0
-        base_out = Path(args.out or "suite-out")
-        spaces: dict[str, PolarSpace] = {}
-        for desc, horizon_spec in default_suite():
-            if desc not in spaces:
-                spaces[desc] = build_polar(parse_form(desc))
-            ps = spaces[desc]
-            if horizon_spec == "span-noncollinear":
-                a, b = _noncollinear_pair(ps)
-                horizon_spec = f"span {a},{b}"
-            try:
-                horizon = resolve_horizon(ps, horizon_spec)
-            except ValueError as exc:
-                raise ConfigurationError(str(exc)) from None
-            subdir = base_out / _sanitize(desc) / _sanitize(horizon_spec)
-            total_failed += _run_single(
-                ps,
-                horizon,
-                tasks,
-                subdir,
-                seed=args.seed,
-                exhaustive=args.exhaustive,
-                timings=args.timings,
-            )
-        return 0 if total_failed == 0 else 10 + total_failed
-    if args.form is None or args.horizon is None:
+        configs = default_suite()
+    elif args.form is None or args.horizon is None:
         raise ConfigurationError("run needs --form and --horizon (or --suite)")
-    ps = build_polar(parse_form(args.form))
-    try:
-        horizon = resolve_horizon(ps, args.horizon)
-    except ValueError as exc:
-        raise ConfigurationError(str(exc)) from None
-    failed = _run_single(
-        ps,
-        horizon,
-        tasks,
-        Path(args.out or "run-out"),
-        seed=args.seed,
-        exhaustive=args.exhaustive,
-        timings=args.timings,
-    )
+    else:
+        configs = [(args.form, args.horizon)]
+    out = Path(args.out or ("suite-out" if args.suite else "run-out"))
+    spaces: dict[str, PolarSpace] = {}
+    failed = 0
+    for desc, horizon_spec in configs:
+        if desc not in spaces:
+            spaces[desc] = build_polar(parse_form(desc))
+        ps = spaces[desc]
+        if args.suite and horizon_spec == "span-noncollinear":
+            # A built space is nondegenerate: some point is not collinear with 0.
+            horizon_spec = f"span 0,{next(bits(ps.structure.full_mask & ~ps.structure.adj[0]))}"
+        try:
+            horizon = resolve_horizon(ps, horizon_spec)
+        except ValueError as exc:
+            raise ConfigurationError(str(exc)) from None
+        failed += _run_single(
+            ps,
+            horizon,
+            tasks,
+            out / _sanitize(desc) / _sanitize(horizon_spec) if args.suite else out,
+            seed=args.seed,
+            exhaustive=args.exhaustive,
+            timings=args.timings,
+        )
     return 0 if failed == 0 else 10 + failed
 
 

@@ -8,8 +8,7 @@ that the verification layer exercises: extending W to a hyperplane avoiding
 two line closures, and chaining coplanar steps between parallel lines.
 
 All point sets are bitmasks over *base* point indices; proper line ids index
-the complement's own line list.  :meth:`Complement.structure` reindexes to a
-standalone incidence structure when one is needed.
+the complement's own line list.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from __future__ import annotations
 from typing import Iterator, Sequence
 
 from .errors import HorizonRefusal, LemmaFalsified
-from .incidence import IncidenceStructure, bits, mask_of
+from .incidence import bits, mask_of
 from .polar import PolarSpace
 
 __all__ = [
@@ -73,7 +72,6 @@ class Complement:
         self._semiaffine: list[int] | None = None
         self._over_horizon: list[int] | None = None
         self._plane_graph: tuple[list[int], dict[int, int]] | None = None
-        self._structure: IncidenceStructure | None = None
 
     # -- lines and parallelism --------------------------------------------
 
@@ -181,12 +179,11 @@ class Complement:
         """A candidate hyperplane over the horizon avoiding both closures."""
         self._require_parallel_pair(k, l)
         if self._over_horizon is None:
-            # A hyperplane horizon avoids every closure, since each has a proper point.
-            h = self.horizon
-            self._over_horizon = (
-                [h] if self.base.structure.is_hyperplane(h)
-                else [c for c in self.base.hyperplane_candidates() if not h & ~c]
-            )
+            # Over a hyperplane horizon this is the horizon alone (hyperplanes
+            # are maximal subspaces), which avoids every closure.
+            self._over_horizon = [
+                c for c in self.base.hyperplane_candidates() if not self.horizon & ~c
+            ]
         km = self.base.structure.line_masks[self.line_closure[k]]
         lm = self.base.structure.line_masks[self.line_closure[l]]
         for h in self._over_horizon:
@@ -236,18 +233,6 @@ class Complement:
         raise LemmaFalsified(
             f"no plane chain joins lines {k} and {l} through their point at infinity"
         )
-
-    # -- reindexed structure ---------------------------------------------------
-
-    def structure(self) -> IncidenceStructure:
-        """The complement as a standalone structure on local point ids."""
-        if self._structure is None:
-            lines = [
-                tuple(sorted(self.local_index[p] for p in bits(trace)))
-                for trace in self.line_trace
-            ]
-            self._structure = IncidenceStructure(len(self.proper_points), lines)
-        return self._structure
 
 
 def build_complement(ps: PolarSpace, horizon: int) -> Complement:

@@ -4,14 +4,16 @@ Point sets are plain Python ints used as bitsets, which keeps the exhaustive
 checks in this package fast without any dependencies.  Lines are sorted tuples
 of point indices.  The constructor deliberately does not enforce partial
 linearity: corrupted structures must stay representable so that the axiom
-checker can report on them.
+checker can report on them.  :func:`is_isomorphism` checks a point bijection
+between two structures line by line.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Iterable, Iterator
 
-__all__ = ["bits", "mask_of", "IncidenceStructure"]
+__all__ = ["bits", "mask_of", "IncidenceStructure", "is_isomorphism"]
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -144,3 +146,36 @@ class IncidenceStructure:
 
     def __repr__(self) -> str:
         return f"IncidenceStructure({self.n_points} points, {len(self.lines)} lines)"
+
+
+def is_isomorphism(
+    a: IncidenceStructure, b: IncidenceStructure, mapping: dict[int, int]
+) -> tuple[bool, dict]:
+    """Check a point bijection line by line: ``(True, {})``, or ``False`` with
+    the first violation."""
+    if set(mapping.keys()) != set(range(a.n_points)):
+        raise ValueError("mapping must be total on the first structure's points")
+    values = set(mapping.values())
+    if len(values) != len(mapping) or a.n_points != b.n_points:
+        raise ValueError("mapping must be a bijection between equal point sets")
+    if values and (min(values) < 0 or max(values) >= b.n_points):
+        raise ValueError("mapping hits out-of-range points")
+
+    images = [tuple(sorted(mapping[p] for p in line)) for line in a.lines]
+    image_count = Counter(images)
+    target_count = Counter(b.lines)
+    if image_count != target_count:
+        for i, img in enumerate(images):
+            if image_count[img] > target_count.get(img, 0):
+                return False, {
+                    "line": i,
+                    "image": list(img),
+                    "reason": "image is not a line of the target",
+                }
+        for line, cnt in target_count.items():
+            if image_count.get(line, 0) < cnt:
+                return False, {
+                    "target_line": list(line),
+                    "reason": "no line maps onto this target line",
+                }
+    return True, {}

@@ -55,10 +55,7 @@ class FormSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigurationError(f"unknown form kind {self.kind!r}")
-        if not 2 <= self.dim <= MAX_VECTOR_DIM:
-            raise ConfigurationError(
-                f"vector dimension {self.dim} outside supported range 2..{MAX_VECTOR_DIM}"
-            )
+        _check_dim(self.dim)
 
     def quad_value(self, v: Sequence[int]) -> int:
         if self.quad is None:
@@ -102,9 +99,22 @@ class FormSpec:
         return tuple(cov)
 
 
+def _check_dim(dim: int) -> None:
+    if not 2 <= dim <= MAX_VECTOR_DIM:
+        raise ConfigurationError(
+            f"vector dimension {dim} outside supported range 2..{MAX_VECTOR_DIM}"
+        )
+
+
+def _zero_matrix(dim: int) -> list[list[int]]:
+    """A ``dim`` by ``dim`` zero matrix, built only for a supported dimension."""
+    _check_dim(dim)
+    return [[0] * dim for _ in range(dim)]
+
+
 def _polarize(field: GF, quad: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
     n = len(quad)
-    g = [[0] * n for _ in range(n)]
+    g = _zero_matrix(n)
     for i in range(n):
         for j in range(i, n):
             c = quad[i][j]
@@ -127,7 +137,7 @@ def symplectic_form(vdim: int, field: GF) -> FormSpec:
     """Alternating form pairing coordinates (0,1), (2,3), ... on ``vdim`` space."""
     if vdim % 2 != 0:
         raise ConfigurationError("a symplectic space needs even vector dimension")
-    g = [[0] * vdim for _ in range(vdim)]
+    g = _zero_matrix(vdim)
     for i in range(0, vdim, 2):
         g[i][i + 1] = 1
         g[i + 1][i] = field.neg(1)
@@ -139,7 +149,7 @@ def hyperbolic_form(pdim: int, field: GF) -> FormSpec:
     if pdim % 2 != 1:
         raise ConfigurationError("a hyperbolic quadric needs odd projective dimension")
     dim = pdim + 1
-    quad = [[0] * dim for _ in range(dim)]
+    quad = _zero_matrix(dim)
     for i in range(0, dim, 2):
         quad[i][i + 1] = 1
     return _quad_form("hyperbolic", field, dim, quad)
@@ -150,7 +160,7 @@ def parabolic_form(pdim: int, field: GF) -> FormSpec:
     if pdim % 2 != 0:
         raise ConfigurationError("a parabolic quadric needs even projective dimension")
     dim = pdim + 1
-    quad = [[0] * dim for _ in range(dim)]
+    quad = _zero_matrix(dim)
     quad[0][0] = 1
     for i in range(1, dim, 2):
         quad[i][i + 1] = 1
@@ -174,8 +184,8 @@ def elliptic_form(pdim: int, field: GF) -> FormSpec:
     if pdim % 2 != 1:
         raise ConfigurationError("an elliptic quadric needs odd projective dimension")
     dim = pdim + 1
+    quad = _zero_matrix(dim)
     d = _anisotropic_coeff(field)
-    quad = [[0] * dim for _ in range(dim)]
     quad[0][0] = 1
     quad[0][1] = 1
     quad[1][1] = d
@@ -188,9 +198,10 @@ def hermitian_form(pdim: int, field: GF) -> FormSpec:
     """Identity-Gram hermitian form; the field must have a quadratic subfield."""
     if field.k % 2 != 0:
         raise ConfigurationError("a hermitian form needs a field of even degree")
-    dim = pdim + 1
-    g = tuple(tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim))
-    return FormSpec("hermitian", field, dim, g)
+    g = _zero_matrix(pdim + 1)
+    for i, row in enumerate(g):
+        row[i] = 1
+    return FormSpec("hermitian", field, pdim + 1, tuple(tuple(r) for r in g))
 
 
 def _sections(

@@ -17,8 +17,8 @@ of the horizon that no plane reaches) and per-plane direction sets.  The
 assembly is purely intrinsic; the ground-truth horizon data of the
 complement is consulted only by :func:`canonical_map` and the verification
 layer.  :class:`Run` holds one configuration's chain (complement,
-parallelism, reconstruction, canonical map), each stage built on first use
-and kept.
+parallelism, reconstruction, canonical map and its isomorphism check), each
+stage built on first use and kept.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from .complement import Complement
 from .errors import HorizonRefusal, IntegrityError
-from .incidence import IncidenceStructure, bits, mask_of
+from .incidence import IncidenceStructure, bits, is_isomorphism, mask_of
 
 __all__ = [
     "Parallelism",
@@ -36,6 +36,16 @@ __all__ = [
     "canonical_map",
     "Run",
 ]
+
+
+def _related_rows(creach: list[int]) -> list[int]:
+    """Row ``c``: the classes ``c2 != c`` where neither class reaches the other."""
+    reached_by = [0] * len(creach)
+    for c, row in enumerate(creach):
+        for c2 in bits(row):
+            reached_by[c2] |= 1 << c
+    full = (1 << len(creach)) - 1
+    return [full & ~(row | reached_by[c] | 1 << c) for c, row in enumerate(creach)]
 
 
 class Parallelism:
@@ -115,6 +125,7 @@ class Parallelism:
         self.creach = [0] * self.n_classes
         for k, c in cid.items():
             self.creach[c] |= self.reach[k]
+        self.related = _related_rows(self.creach)
 
         self._prime: list[tuple[int, ...]] | None = None
         self._second: list[tuple[int, ...]] | None = None
@@ -149,12 +160,7 @@ class Parallelism:
 
     def equiv(self, c1: int, c2: int) -> bool:
         """The anti-euclidean relation lifted to a pair of classes."""
-        if c1 == c2:
-            return False
-        return not ((self.creach[c1] >> c2) & 1 or (self.creach[c2] >> c1) & 1)
-
-    def _equiv_hat(self, m: int, c: int) -> bool:
-        return m == c or self.equiv(m, c)
+        return bool((self.related[c1] >> c2) & 1)
 
     def lines_prime(self) -> list[tuple[int, ...]]:
         """Class sets spanned by related class pairs; recovers unreachable
@@ -165,43 +171,23 @@ class Parallelism:
         collapse.
         """
         if self._prime is None:
-            out: list[tuple[int, ...]] = []
-            seen = set()
-            for c1 in range(self.n_classes):
-                for c2 in range(c1 + 1, self.n_classes):
-                    if not self.equiv(c1, c2):
-                        continue
-                    group = tuple(
-                        m
-                        for m in range(self.n_classes)
-                        if self._equiv_hat(m, c1) and self._equiv_hat(m, c2)
-                    )
-                    if group not in seen:
-                        seen.add(group)
-                        out.append(group)
-            self._prime = out
+            hat = [row | 1 << c for c, row in enumerate(self.related)]
+            groups = (
+                tuple(bits(hat[c1] & hat[c2]))
+                for c1, row in enumerate(self.related)
+                for c2 in bits(row >> (c1 + 1) << (c1 + 1))
+            )
+            self._prime = list(dict.fromkeys(groups))
         return self._prime
 
     def lines_second(self) -> list[tuple[int, ...]]:
         """Per-plane direction sets of size at least two."""
         if self._second is None:
-            out: list[tuple[int, ...]] = []
-            seen = set()
-            for pi in self.comp.semiaffine_planes():
-                group = sorted(
-                    {
-                        self.class_id[k]
-                        for k in bits(self.comp.plane_lines(pi))
-                        if self._affine[k]
-                    }
-                )
-                if len(group) < 2:
-                    continue
-                key = tuple(group)
-                if key not in seen:
-                    seen.add(key)
-                    out.append(key)
-            self._second = out
+            groups = (
+                {self.class_id[k] for k in bits(self.comp.plane_lines(pi)) if self._affine[k]}
+                for pi in self.comp.semiaffine_planes()
+            )
+            self._second = list(dict.fromkeys(tuple(sorted(g)) for g in groups if len(g) > 1))
         return self._second
 
     def ternary_collinear(self, c1: int, c2: int, c3: int) -> bool:
@@ -212,7 +198,8 @@ class Parallelism:
         """
         if len({c1, c2, c3}) != 3:
             raise ValueError("classes must be pairwise distinct")
-        if self.equiv(c1, c2) and self.equiv(c2, c3) and self.equiv(c3, c1):
+        r = self.related
+        if (r[c1] >> c2) & (r[c2] >> c3) & (r[c3] >> c1) & 1:
             return True
         lm = self.comp.line_trace
         mask3 = self.class_line_mask[c3]
@@ -341,3 +328,9 @@ class Run:
     @_stage
     def canonical_map(self) -> dict[int, int]:
         return canonical_map(self.reconstruction)
+
+    @_stage
+    def canonical_isomorphism(self) -> tuple[bool, dict]:
+        """:func:`is_isomorphism` of the canonical map onto the base space."""
+        base = self.complement.base.structure
+        return is_isomorphism(self.reconstruction.structure, base, self.canonical_map)

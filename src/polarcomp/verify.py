@@ -1,4 +1,4 @@
-"""Isomorphism checking and the executable property battery.
+"""The independent isomorphism search and the executable property battery.
 
 Everything here distrusts the construction code on purpose: ground truth is
 recomputed from closures and the base space, intrinsic results are compared
@@ -15,7 +15,7 @@ from functools import cache
 
 from .complement import Complement
 from .errors import IntegrityError, LemmaFalsified
-from .incidence import IncidenceStructure, bits, mask_of
+from .incidence import IncidenceStructure, bits, is_isomorphism, mask_of
 from .polar import _partial_linear_witness
 from .reconstruct import Run
 
@@ -46,47 +46,6 @@ class CheckResult:
 
 
 # -- isomorphism ---------------------------------------------------------------
-
-
-def is_isomorphism(
-    a: IncidenceStructure, b: IncidenceStructure, mapping: dict[int, int]
-) -> tuple[bool, dict]:
-    """Check a point bijection line-by-line; certificate or first violation."""
-    if set(mapping.keys()) != set(range(a.n_points)):
-        raise ValueError("mapping must be total on the first structure's points")
-    values = set(mapping.values())
-    if len(values) != len(mapping) or a.n_points != b.n_points:
-        raise ValueError("mapping must be a bijection between equal point sets")
-    if values and (min(values) < 0 or max(values) >= b.n_points):
-        raise ValueError("mapping hits out-of-range points")
-
-    images = [tuple(sorted(mapping[p] for p in line)) for line in a.lines]
-    image_count = Counter(images)
-    target_count = Counter(b.lines)
-    if image_count != target_count:
-        for i, img in enumerate(images):
-            if image_count[img] > target_count.get(img, 0):
-                return False, {
-                    "line": i,
-                    "image": list(img),
-                    "reason": "image is not a line of the target",
-                }
-        for line, cnt in target_count.items():
-            if image_count.get(line, 0) < cnt:
-                return False, {
-                    "target_line": list(line),
-                    "reason": "no line maps onto this target line",
-                }
-    buckets: dict[tuple[int, ...], list[int]] = {}
-    for j, line in enumerate(b.lines):
-        buckets.setdefault(line, []).append(j)
-    cursor: dict[tuple[int, ...], int] = {}
-    line_map = {}
-    for i, img in enumerate(images):
-        k = cursor.get(img, 0)
-        cursor[img] = k + 1
-        line_map[i] = buckets[img][k]
-    return True, {"line_map": line_map}
 
 
 def _joint_colors(a: IncidenceStructure, b: IncidenceStructure) -> tuple[list[int], list[int]]:
@@ -244,7 +203,10 @@ def run_lemma_battery(run: Run, *, seed: int = 0, exhaustive: bool = False) -> l
     delegated = run.delegated
 
     def check_partial_linear() -> dict | None:
-        return _partial_linear_witness(comp.structure())
+        # The traces over base point ids: horizon points carry no line, so the
+        # witness is the one on the complement's own points.
+        traces = [tuple(bits(t)) for t in comp.line_trace]
+        return _partial_linear_witness(IncidenceStructure(st.n_points, traces))
 
     def check_affine_fibration() -> dict | None:
         w = comp.horizon
@@ -394,24 +356,15 @@ def run_lemma_battery(run: Run, *, seed: int = 0, exhaustive: bool = False) -> l
 
     @with_directions
     def check_equiv_triples_collinear(dirs: list[int]) -> dict | None:
-        p = run.parallelism
-        related = [
-            (c1, c2)
-            for c1 in range(p.n_classes)
-            for c2 in range(c1 + 1, p.n_classes)
-            if p.equiv(c1, c2)
-        ]
-        by_first: dict[int, list[int]] = {}
-        for c1, c2 in related:
-            by_first.setdefault(c1, []).append(c2)
-        for c1, c2 in related:
-            for c3 in by_first.get(c2, ()):
-                if not p.equiv(c1, c3):
-                    continue
-                line = st.line_through(dirs[c1], dirs[c2])
-                on_line = line is not None and (st.line_masks[line] >> dirs[c3]) & 1
-                if not on_line:
-                    return {"classes": [c1, c2, c3], "directions": [dirs[c1], dirs[c2], dirs[c3]]}
+        # Mutually related triples c1 < c2 < c3, in lexicographic order.
+        related = run.parallelism.related
+        for c1, row in enumerate(related):
+            for c2 in bits(row >> (c1 + 1) << (c1 + 1)):
+                for c3 in bits((row & related[c2]) >> (c2 + 1) << (c2 + 1)):
+                    line = st.line_through(dirs[c1], dirs[c2])
+                    if line is None or not (st.line_masks[line] >> dirs[c3]) & 1:
+                        triple = [c1, c2, c3]
+                        return {"classes": triple, "directions": [dirs[c] for c in triple]}
         return None
 
     @with_directions
@@ -500,7 +453,7 @@ def run_lemma_battery(run: Run, *, seed: int = 0, exhaustive: bool = False) -> l
         return None
 
     def check_ambient_recovery() -> dict | None:
-        ok, cert = is_isomorphism(run.reconstruction.structure, st, run.canonical_map)
+        ok, cert = run.canonical_isomorphism
         return None if ok else cert
 
     ground = [

@@ -12,6 +12,7 @@ from polarcomp import (
     Parallelism,
     build_complement,
     build_polar,
+    elliptic_form,
     hyperbolic_form,
     parabolic_form,
     symplectic_form,
@@ -51,6 +52,16 @@ def q62(gf2):
 @pytest.fixture(scope="session")
 def q53(gf3):
     return build_polar(hyperbolic_form(5, gf3))
+
+
+@pytest.fixture(scope="session")
+def sp63(gf3):
+    return build_polar(symplectic_form(6, gf3))
+
+
+@pytest.fixture(scope="session")
+def qm72(gf2):
+    return build_polar(elliptic_form(7, gf2))
 
 
 @pytest.fixture(scope="session")

@@ -220,3 +220,27 @@ def fibration_mismatch(comp):
             if bool(closures[k] & closures[l] & comp.horizon) != comp.horizon_parallel(k, l):
                 return [k, l]
     return None
+
+
+def class_equiv(par, c1, c2):
+    """The anti-euclidean relation on two classes, from the class reach rows:
+    distinct, and neither class reaches the other."""
+    if c1 == c2:
+        return False
+    return not ((par.creach[c1] >> c2) & 1 or (par.creach[c2] >> c1) & 1)
+
+
+def lines_prime_scan(par):
+    """For each related pair ``c1 < c2``, every class equal or related to both;
+    each set once, in first-seen order."""
+    def hat(m, c):
+        return m == c or class_equiv(par, m, c)
+
+    out = []
+    for c1 in range(par.n_classes):
+        for c2 in range(c1 + 1, par.n_classes):
+            if class_equiv(par, c1, c2):
+                group = tuple(m for m in range(par.n_classes) if hat(m, c1) and hat(m, c2))
+                if group not in out:
+                    out.append(group)
+    return out

@@ -3,12 +3,14 @@
 import hashlib
 import json
 import sys
+import tracemalloc
 from collections import Counter
 
 import pytest
 
 import polarcomp.cli as cli_module
 import polarcomp.reconstruct as reconstruct_module
+import polarcomp.verify as verify_module
 from polarcomp.cli import main
 from polarcomp.incidence import IncidenceStructure
 from polarcomp.reconstruct import Parallelism
@@ -81,11 +83,26 @@ def test_build_rejects_low_rank(capsys):
 
 @pytest.mark.parametrize(
     "desc",
-    ["zz:5:2", "sp:6", "sp:a:2", "sp:6:6", "q+:4:2", "herm:3:3", "sp:6:32"],
+    [
+        "zz:5:2", "sp:6", "sp:a:2", "sp:6:6", "q+:4:2", "herm:3:3", "sp:6:32",
+        "q-:-1:2", "q:-2:2", "q-:-3:3",
+    ],
 )
 def test_build_rejects_bad_descriptors(desc, capsys):
     assert run_cli("build", "--form", desc) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_oversized_dimension_is_rejected_before_any_matrix(capsys):
+    tracemalloc.start()
+    try:
+        code = run_cli("build", "--form", "sp:4000:2")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "outside supported range" in capsys.readouterr().err
+    assert peak < 4 * 2**20  # a 4000 x 4000 matrix alone would take over 100 MB
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +217,10 @@ def test_run_refuses_span_of_everything(capsys):
     ],
 )
 def test_run_builds_parallelism_at_most_once(tmp_path, monkeypatch, horizon, tasks, builds):
-    """Each derived stage is built once per run, and only when a task needs it."""
+    """Each derived stage is built once per run, and only when a task needs it.
+
+    The canonical map is checked once, and ``find_isomorphism`` validates its
+    mapping once: two isomorphism checks per reconstructing run."""
     calls = Counter()
     init = Parallelism.__init__
 
@@ -216,16 +236,23 @@ def test_run_builds_parallelism_at_most_once(tmp_path, monkeypatch, horizon, tas
 
     monkeypatch.setattr(Parallelism, "__init__", counting_init)
     modules = [m for key, m in sys.modules.items() if key.split(".")[0] == "polarcomp"]
-    for name in ("reconstruct", "canonical_map"):
-        original = getattr(reconstruct_module, name)
-        wrapper = counting(name, original)
+    counted = (
+        reconstruct_module.reconstruct,
+        reconstruct_module.canonical_map,
+        verify_module.is_isomorphism,
+    )
+    for original in counted:
+        wrapper = counting(original.__name__, original)
         for module in modules:  # every binding, so calls by any import path count
             for key, value in list(vars(module).items()):
                 if value is original:
                     monkeypatch.setattr(module, key, wrapper)
     assert run_cli("run", "--form", "q+:5:2", "--horizon", horizon,
                    "--tasks", tasks, "--out", str(tmp_path / "out")) == 0
-    assert calls == Counter({"parallelism": builds, "reconstruct": builds, "canonical_map": builds})
+    assert calls == Counter(
+        {"parallelism": builds, "reconstruct": builds, "canonical_map": builds,
+         "is_isomorphism": 2 * builds}
+    )
 
 
 def test_run_determinism(tmp_path):

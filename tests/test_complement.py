@@ -67,7 +67,7 @@ def test_empty_horizon(sp62):
     assert comp.affine_lines() == []
     assert comp.deep_points() == 0
     assert comp.semiaffine_planes() == []
-    assert comp.structure() == sp62.structure
+    assert comp.line_trace == sp62.structure.line_masks
 
 
 def test_traces_and_closures(comp_line, sp62):
@@ -161,14 +161,27 @@ def test_avoiding_hyperplane_usage_errors(comp_point):
         comp_point.avoiding_hyperplane(aff[0], 300)
 
 
-def test_hyperplane_horizon_avoids_via_itself(sp62):
-    st = sp62.structure
-    comp = build_complement(sp62, st.adj[0])
+@pytest.mark.parametrize(
+    "space, horizon",
+    [("sp62", "perp 0"), ("q62", "perp 0"), ("q53", "perp 5"), ("q53", "section")],
+)
+def test_hyperplane_horizon_avoids_via_itself(space, horizon, request):
+    """The only candidate over a hyperplane horizon is the horizon itself."""
+    ps = request.getfixturevalue(space)
+    st = ps.structure
+    if horizon == "section":  # an ambient hyperplane section that is no perp
+        h = next(c for c in ps.hyperplane_candidates() if c not in st.adj)
+    else:
+        h = resolve_horizon(ps, horizon)
+    assert st.is_hyperplane(h)
+    comp = build_complement(ps, h)
     fibers = {}
     for k in comp.affine_lines():
         fibers.setdefault(comp.point_at_infinity(k), []).append(k)
-    members = next(v for v in fibers.values() if len(v) >= 2)
-    assert comp.avoiding_hyperplane(members[0], members[1]) == comp.horizon
+    pairs = [(k, l) for ks in fibers.values() for i, k in enumerate(ks) for l in ks[i + 1 :]]
+    assert pairs
+    for k, l in pairs:
+        assert comp.avoiding_hyperplane(k, l) == comp.horizon
 
 
 def test_plane_path(comp_point):
@@ -225,14 +238,6 @@ def test_parallel_table_matches_horizon_parallel(space, spec, request):
         for k in range(comp.n_lines):
             for l in range(comp.n_lines):
                 assert bool((table[k] >> l) & 1) == comp.horizon_parallel(k, l), (k, l)
-
-
-def test_structure_reindexes(comp_point):
-    st = comp_point.structure()
-    assert st.n_points == 62
-    assert len(st.lines) == 315
-    # traces with two points stay lines of size two
-    assert {len(line) for line in st.lines} == {2, 3}
 
 
 def test_drop_proper_line(comp_point):

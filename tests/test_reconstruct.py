@@ -8,6 +8,8 @@ horizons at order 2; those horizons are deliberately not in the default
 suite.
 """
 
+import copy
+import random
 import types
 
 import pytest
@@ -22,10 +24,10 @@ from polarcomp import (
     is_isomorphism,
     resolve_horizon,
 )
-from polarcomp.incidence import bits
-from polarcomp.reconstruct import reconstruct
+from polarcomp.incidence import bits, mask_of
+from polarcomp.reconstruct import _related_rows, reconstruct
 
-from oracles import star_parallel, star_table
+from oracles import class_equiv, lines_prime_scan, star_parallel, star_table
 
 
 # ---------------------------------------------------------------------------
@@ -114,6 +116,47 @@ def test_anti_euclidean_requires_affine_input(par_point, comp_point):
 def test_equiv_is_antireflexive(par_line):
     for c in range(par_line.n_classes):
         assert not par_line.equiv(c, c)
+
+
+@pytest.mark.parametrize(
+    "space, spec",
+    [
+        ("q53", "meet perp 0 perp 3"),  # the line-perp fixture: one deep line
+        ("sp63", "line 0"),
+        ("qm72", "meet perp 0 perp 1"),  # order 2: the intrinsic relation diverges
+    ],
+)
+def test_related_rows_match_oracle(space, spec, request):
+    ps = request.getfixturevalue(space)
+    comp = build_complement(ps, resolve_horizon(ps, spec))
+    for c in (comp, drop_proper_line(comp, 0)):
+        par = Parallelism(c)
+        nc = par.n_classes
+        assert len(par.related) == nc
+        for c1, row in enumerate(par.related):
+            assert row >> nc == 0 and not (row >> c1) & 1  # irreflexive
+            for c2 in range(nc):
+                related = bool((row >> c2) & 1)
+                assert related == bool((par.related[c2] >> c1) & 1)  # symmetric
+                assert related == class_equiv(par, c1, c2) == par.equiv(c1, c2)
+        assert par.lines_prime() == lines_prime_scan(par)
+
+
+@pytest.mark.parametrize("density", [0.05, 0.2, 0.5])
+def test_related_rows_match_oracle_on_random_reach(par_q53, density):
+    # Reach rows of real complements are symmetric and their related classes
+    # form cliques; random rows are neither.
+    rnd = random.Random(density)
+    nc = par_q53.n_classes
+    par = copy.copy(par_q53)
+    par.creach = [mask_of(c for c in range(nc) if rnd.random() < density) for _ in range(nc)]
+    par.related = _related_rows(par.creach)
+    par._prime = None
+    for c1 in range(nc):
+        for c2 in range(nc):
+            assert par.equiv(c1, c2) == class_equiv(par, c1, c2)
+    assert par.lines_prime() == lines_prime_scan(par)
+    assert len(par.lines_prime()) > 1
 
 
 def test_line_horizon_has_no_equiv_pairs(par_line):

@@ -2,6 +2,7 @@
 
 import copy
 import hashlib
+import itertools
 import json
 import random
 import sys
@@ -19,10 +20,10 @@ from polarcomp import (
     Run,
     run_lemma_battery,
 )
-from polarcomp.incidence import bits
-from polarcomp.reconstruct import reconstruct
+from polarcomp.incidence import bits, mask_of
+from polarcomp.reconstruct import _related_rows, reconstruct
 from polarcomp.verify import CheckResult
-from oracles import fibration_mismatch
+from oracles import class_equiv, fibration_mismatch, partial_linear_scan
 
 BATTERY_IDS = [
     "partial_linear",
@@ -57,18 +58,12 @@ def relabel(st, seed):
 
 def test_identity_is_an_isomorphism(sp62):
     st = sp62.structure
-    ok, cert = is_isomorphism(st, st, {p: p for p in range(st.n_points)})
-    assert ok
-    line_map = cert["line_map"]
-    assert sorted(line_map) == list(range(315))
-    assert all(line_map[i] == i for i in line_map)
+    assert is_isomorphism(st, st, {p: p for p in range(st.n_points)}) == (True, {})
 
 
 def test_relabeling_is_an_isomorphism(q52):
     perm, moved = relabel(q52.structure, seed=5)
-    ok, cert = is_isomorphism(q52.structure, moved, dict(enumerate(perm)))
-    assert ok
-    assert len(cert["line_map"]) == 105
+    assert is_isomorphism(q52.structure, moved, dict(enumerate(perm))) == (True, {})
 
 
 def test_wrong_map_returns_a_witness(sp62):
@@ -239,6 +234,59 @@ def test_fibration_witness_matches_oracle(fixture, request):
         assert result.witness == {
             "lines": expected, "reason": "parallel table disagrees with closures"
         }
+
+
+@pytest.mark.parametrize("fixture", ["comp_point", "comp_line"])
+def test_partial_linear_witness_matches_local_structure(fixture, request):
+    """The check runs on the traces over base point ids; its witness is the
+    one on the complement's own points, renumbered in order."""
+    comp = request.getfixturevalue(fixture)
+    for k in (1, comp.n_lines // 2):
+        # widen trace k onto a point of another line through one of its points
+        p = next(bits(comp.line_trace[k]))
+        other = next(l for l in bits(comp.lines_at_point(p)) if l != k)
+        bad = copy.copy(comp)
+        bad.line_trace = list(comp.line_trace)
+        bad.line_trace[k] |= comp.line_trace[other]
+        local = IncidenceStructure(
+            len(comp.proper_points),
+            [[comp.local_index[q] for q in bits(t)] for t in bad.line_trace],
+        )
+        expected = partial_linear_scan(local)
+        assert expected is not None
+        results = run_lemma_battery(Run(bad), seed=0)
+        result = next(r for r in results if r.check_id == "partial_linear")
+        assert (result.status, result.witness) == ("fail", expected)
+
+
+def test_equiv_triples_walk_matches_oracle(comp_q53_lperp, par_q53):
+    """Over random reach rows the check reports the first mutually related
+    triple, in lexicographic order, whose directions are not collinear."""
+    rnd = random.Random(1)
+    nc = par_q53.n_classes
+    par = copy.copy(par_q53)
+    par.creach = [mask_of(c for c in range(nc) if rnd.random() < 0.3) for _ in range(nc)]
+    par.related = _related_rows(par.creach)
+
+    class TamperedRun(Run):
+        parallelism = par
+
+    st = comp_q53_lperp.base.structure
+    dirs = [comp_q53_lperp.point_at_infinity(members[0]) for members in par.classes]
+
+    def collinear(a, b, c):
+        line = st.line_through(dirs[a], dirs[b])
+        return line is not None and (st.line_masks[line] >> dirs[c]) & 1
+
+    expected = next(
+        {"classes": [a, b, c], "directions": [dirs[a], dirs[b], dirs[c]]}
+        for a, b, c in itertools.combinations(range(nc), 3)
+        if class_equiv(par, a, b) and class_equiv(par, b, c) and class_equiv(par, a, c)
+        and not collinear(a, b, c)
+    )
+    results = run_lemma_battery(TamperedRun(comp_q53_lperp), seed=0)
+    result = next(r for r in results if r.check_id == "equiv_triples_collinear")
+    assert (result.status, result.witness) == ("fail", expected)
 
 
 @pytest.mark.parametrize(
