@@ -25,7 +25,7 @@ import re
 import sys
 from pathlib import Path
 
-from .complement import build_complement, resolve_horizon
+from .complement import build_complement, horizon_atoms, resolve_horizon
 from .errors import ConfigurationError, HorizonRefusal, IntegrityError
 from .incidence import bits
 from .polar import (
@@ -274,29 +274,18 @@ def cmd_horizons(args) -> int:
     ps = build_polar(parse_form(args.form))
     st = ps.structure
     kind = args.kind
-    entries = []
-    if kind == "points":
-        entries = [{"spec": f"point {i}", "size": 1} for i in range(st.n_points)]
-    elif kind == "lines":
+    if kind == "perp-intersections":
         entries = [
-            {"spec": f"line {i}", "size": len(line)} for i, line in enumerate(st.lines)
+            {"spec": f"meet perp {i} perp {j}", "size": (st.adj[i] & st.adj[j]).bit_count()}
+            for i in range(st.n_points)
+            for j in range(i + 1, st.n_points)
         ]
-    elif kind == "planes":
+    else:  # one atom per id; argparse admits only the four atom kinds here
+        atom = kind.removesuffix("s")
         entries = [
-            {"spec": f"plane {i}", "size": m.bit_count()}
-            for i, m in enumerate(ps.singular_planes())
+            {"spec": f"{atom} {i}", "size": m.bit_count()}
+            for i, m in enumerate(horizon_atoms(ps, atom))
         ]
-    elif kind == "perps":
-        entries = [
-            {"spec": f"perp {i}", "size": st.adj[i].bit_count()} for i in range(st.n_points)
-        ]
-    elif kind == "perp-intersections":
-        for i in range(st.n_points):
-            for j in range(i + 1, st.n_points):
-                size = (st.adj[i] & st.adj[j]).bit_count()
-                entries.append({"spec": f"meet perp {i} perp {j}", "size": size})
-    else:
-        raise ConfigurationError(f"unknown horizon kind {kind!r}")
     _emit({"form": args.form, "kind": kind, "entries": entries}, args.out)
     return 0
 

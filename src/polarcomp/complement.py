@@ -2,8 +2,9 @@
 
 Removing a subspace W from a polar space leaves the proper points and the
 traces of lines not inside W.  Lines whose closure meets W in a point are
-affine; the horizon notions (points at infinity, deep points, semiaffine
-planes, deep lines) all live here, together with the two search operations
+affine.  The horizon notions live here, read from perps and masks: deep
+points and deep lines are the horizon points and lines whose perp lies in
+W, and semiaffine planes are the planes meeting W.  So do the two searches
 that the verification layer exercises: extending W to a hyperplane avoiding
 two line closures, and chaining coplanar steps between parallel lines.
 
@@ -13,7 +14,7 @@ the complement's own line list.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import HorizonRefusal, LemmaFalsified
 from .incidence import bits, mask_of
@@ -23,6 +24,7 @@ __all__ = [
     "Complement",
     "build_complement",
     "drop_proper_line",
+    "horizon_atoms",
     "resolve_horizon",
 ]
 
@@ -38,7 +40,10 @@ class Complement:
             raise ValueError("horizon must be a subspace of the base space")
         if horizon == st.full_mask:
             raise HorizonRefusal("horizon equals the whole point set")
-        if not any(not horizon & ~h for h in base.hyperplane_candidates()):
+        # Over a hyperplane horizon this is the horizon alone: hyperplanes are
+        # maximal subspaces.
+        self._over_horizon = [h for h in base.hyperplane_candidates() if not horizon & ~h]
+        if not self._over_horizon:
             raise HorizonRefusal("horizon lies in no candidate hyperplane")
         self.base = base
         self.horizon = horizon
@@ -69,8 +74,6 @@ class Complement:
 
         self._planes: list[int] | None = None
         self._plane_lines: list[int] | None = None
-        self._semiaffine: list[int] | None = None
-        self._over_horizon: list[int] | None = None
         self._plane_graph: tuple[list[int], dict[int, int]] | None = None
 
     # -- lines and parallelism --------------------------------------------
@@ -104,9 +107,15 @@ class Complement:
                 fibers[inf] = fibers.get(inf, 0) | (1 << k)
         return [0 if inf is None else fibers[inf] for inf in self._infinity]
 
+    def direction_of(self, lines: Iterable[int]) -> int | None:
+        """The one point at infinity that these lines share, or None."""
+        infs = {self._infinity[k] for k in lines}
+        return infs.pop() if len(infs) == 1 else None
+
     def deep_points(self) -> int:
-        """Horizon points that no proper line reaches."""
-        return self.horizon & ~mask_of(inf for inf in self._infinity if inf is not None)
+        """Horizon points whose perp lies in the horizon."""
+        adj = self.base.structure.adj
+        return mask_of(d for d in bits(self.horizon) if not adj[d] & self.proper_mask)
 
     # -- planes --------------------------------------------------------------
 
@@ -144,27 +153,23 @@ class Complement:
         return self._plane_lines[pi]
 
     def semiaffine_planes(self) -> list[int]:
-        """Ids of planes containing at least one affine line."""
-        if self._semiaffine is None:
-            self._semiaffine = [
-                pi for pi in range(len(self.planes()))
-                if any(self._infinity[k] is not None for k in bits(self.plane_lines(pi)))
-            ]
-        return self._semiaffine
+        """Ids of the planes that meet the horizon."""
+        return [pi for pi, plane in enumerate(self.planes()) if plane & self.horizon]
 
     def plane_horizon(self, pi: int) -> int:
-        """Points at infinity realized by the affine lines inside a plane."""
-        infs = (self._infinity[k] for k in bits(self.plane_lines(pi)))
-        out = mask_of(inf for inf in infs if inf is not None)
+        """The points at infinity of a semiaffine plane."""
+        out = self.planes()[pi] & self.horizon
         if out == 0:
             raise ValueError(f"plane {pi} is not semiaffine")
         return out
 
     def deep_lines(self) -> list[int]:
-        """Base ids of horizon lines that are no plane's set of infinities."""
-        realized = {self.plane_horizon(pi) for pi in self.semiaffine_planes()}
+        """Base ids of the horizon lines whose perp lies in the horizon."""
         st = self.base.structure
-        return [k for k in self.horizon_line_ids if st.line_masks[k] not in realized]
+        return [
+            k for k in self.horizon_line_ids
+            if not st.set_perp(st.line_masks[k]) & self.proper_mask
+        ]
 
     # -- the two guaranteed searches -----------------------------------------
 
@@ -178,12 +183,6 @@ class Complement:
     def avoiding_hyperplane(self, k: int, l: int) -> int:
         """A candidate hyperplane over the horizon avoiding both closures."""
         self._require_parallel_pair(k, l)
-        if self._over_horizon is None:
-            # Over a hyperplane horizon this is the horizon alone (hyperplanes
-            # are maximal subspaces), which avoids every closure.
-            self._over_horizon = [
-                c for c in self.base.hyperplane_candidates() if not self.horizon & ~c
-            ]
         km = self.base.structure.line_masks[self.line_closure[k]]
         lm = self.base.structure.line_masks[self.line_closure[l]]
         for h in self._over_horizon:
@@ -246,6 +245,20 @@ def drop_proper_line(c: Complement, k: int) -> Complement:
     return Complement(c.base, c.horizon, line_ids=keep)
 
 
+def horizon_atoms(ps: PolarSpace, kind: str) -> list[int]:
+    """Masks of the ``point``, ``line``, ``plane`` or ``perp`` atoms, by id."""
+    st = ps.structure
+    if kind == "point":
+        return [1 << p for p in range(st.n_points)]
+    if kind == "line":
+        return st.line_masks
+    if kind == "plane":
+        return ps.singular_planes()
+    if kind == "perp":
+        return st.adj
+    raise ValueError(f"unknown horizon atom kind {kind!r}")
+
+
 def _parse_atom(ps: PolarSpace, tokens: list[str], pos: int) -> tuple[int, int]:
     if pos >= len(tokens):
         raise ValueError("horizon spec ended early")
@@ -258,22 +271,10 @@ def _parse_atom(ps: PolarSpace, tokens: list[str], pos: int) -> tuple[int, int]:
             idx = int(tokens[pos + 1])
         except ValueError:
             raise ValueError(f"{head} id must be an integer, got {tokens[pos + 1]!r}") from None
-        if head == "point":
-            if not 0 <= idx < st.n_points:
-                raise ValueError(f"point id {idx} out of range")
-            return 1 << idx, pos + 2
-        if head == "perp":
-            if not 0 <= idx < st.n_points:
-                raise ValueError(f"perp id {idx} out of range")
-            return st.adj[idx], pos + 2
-        if head == "line":
-            if not 0 <= idx < len(st.lines):
-                raise ValueError(f"line id {idx} out of range")
-            return st.line_masks[idx], pos + 2
-        planes = ps.singular_planes()
-        if not 0 <= idx < len(planes):
-            raise ValueError(f"plane id {idx} out of range")
-        return planes[idx], pos + 2
+        atoms = horizon_atoms(ps, head)
+        if not 0 <= idx < len(atoms):
+            raise ValueError(f"{head} id {idx} out of range")
+        return atoms[idx], pos + 2
     if head == "span":
         if pos + 1 >= len(tokens):
             raise ValueError("span needs a point list")

@@ -32,6 +32,8 @@ __all__ = [
 ]
 
 MAX_VECTOR_DIM = 8
+# Largest projective space whose points are enumerated (PG(7,3) has 3,280).
+MAX_PG_POINTS = 1 << 14
 
 KINDS = ("symplectic", "parabolic", "hyperbolic", "elliptic", "hermitian")
 QUADRATIC_KINDS = ("parabolic", "hyperbolic", "elliptic")
@@ -269,6 +271,8 @@ class PolarSpace:
     @classmethod
     def from_form(cls, form: FormSpec) -> "PolarSpace":
         field = form.field
+        if (field.q**form.dim - 1) // (field.q - 1) > MAX_PG_POINTS:
+            raise ConfigurationError(f"PG({form.dim - 1},{field.q}) exceeds {MAX_PG_POINTS} points")
         pts = [p for p in pg_points(field, form.dim - 1) if form.vec_singular(p)]
         if not pts:
             raise ConfigurationError("the form admits no singular points")
@@ -372,15 +376,18 @@ class AxiomReport:
         }
 
 
-def _partial_linear_witness(st: IncidenceStructure) -> dict | None:
-    for p in range(st.n_points):
+def _partial_linear_witness(
+    rows: Iterable[tuple[int, Sequence[int]]], lm: list[int]
+) -> dict | None:
+    """First two lines through a point sharing another: ``rows`` pairs each
+    point with the ids of its lines, both ascending; ``lm`` holds line masks."""
+    for p, ids in rows:
         # Two lines through p overlap twice iff they share a point besides p.
         others = 0
-        for i in st.lines_at(p):
-            m = st.line_masks[i] & ~(1 << p)
+        for i in ids:
+            m = lm[i] & ~(1 << p)
             if m & others:
-                pairs = itertools.combinations(st.lines_at(p), 2)
-                lm = st.line_masks
+                pairs = itertools.combinations(ids, 2)
                 return next({"lines": [a, b]} for a, b in pairs if (lm[a] & lm[b]).bit_count() > 1)
             others |= m
     return None
@@ -407,7 +414,8 @@ def check_polar_axioms(obj: "PolarSpace | IncidenceStructure") -> AxiomReport:
     st = obj.structure if isinstance(obj, PolarSpace) else obj
     witnesses: dict = {}
 
-    pl = _partial_linear_witness(st)
+    rows = ((p, st.lines_at(p)) for p in range(st.n_points))
+    pl = _partial_linear_witness(rows, st.line_masks)
     if pl is not None:
         witnesses["partial_linear"] = pl
 

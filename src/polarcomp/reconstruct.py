@@ -261,14 +261,9 @@ def canonical_map(recon: ReconstructedStructure) -> dict[int, int]:
     mapping = {local: base for base, local in comp.local_index.items()}
     seen: dict[int, int] = {}
     for c, members in enumerate(par.classes):
-        infs = set()
-        for k in members:
-            if not comp.is_affine(k):
-                raise IntegrityError(f"class {c} contains line {k} with no point at infinity")
-            infs.add(comp.point_at_infinity(k))
-        if len(infs) != 1:
-            raise IntegrityError(f"class {c} reaches several horizon points: {sorted(infs)}")
-        direction = infs.pop()
+        direction = comp.direction_of(members)
+        if direction is None:
+            raise IntegrityError(f"class {c} has no single point at infinity")
         if direction in seen:
             raise IntegrityError(f"classes {seen[direction]} and {c} share direction {direction}")
         seen[direction] = c

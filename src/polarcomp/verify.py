@@ -173,15 +173,6 @@ def _timed(check_id: str, fn) -> CheckResult:
     return CheckResult(check_id, status, witness, (time.perf_counter() - t0) * 1000.0)
 
 
-def _ground_direction(comp: Complement, members: tuple[int, ...]) -> int | None:
-    dirs = set()
-    for k in members:
-        if not comp.is_affine(k):
-            return None
-        dirs.add(comp.point_at_infinity(k))
-    return dirs.pop() if len(dirs) == 1 else None
-
-
 def _horizon_line_between(comp: Complement, d1: int, d2: int) -> int | None:
     """Base id of the line through two horizon points if it lies in the horizon."""
     st = comp.base.structure
@@ -203,10 +194,8 @@ def run_lemma_battery(run: Run, *, seed: int = 0, exhaustive: bool = False) -> l
     delegated = run.delegated
 
     def check_partial_linear() -> dict | None:
-        # The traces over base point ids: horizon points carry no line, so the
-        # witness is the one on the complement's own points.
-        traces = [tuple(bits(t)) for t in comp.line_trace]
-        return _partial_linear_witness(IncidenceStructure(st.n_points, traces))
+        rows = ((p, list(bits(comp.lines_at_point(p)))) for p in comp.proper_points)
+        return _partial_linear_witness(rows, comp.line_trace)
 
     def check_affine_fibration() -> dict | None:
         w = comp.horizon
@@ -238,8 +227,6 @@ def run_lemma_battery(run: Run, *, seed: int = 0, exhaustive: bool = False) -> l
             return None
         if deep:
             return {"deep_points": list(bits(deep)), "reason": "deep points on a non-hyperplane"}
-        if not st.is_spiky(comp.horizon):
-            return {"reason": "horizon is not spiky"}
         return None
 
     def parallel_pairs() -> list[tuple[int, int]]:
@@ -322,7 +309,7 @@ def run_lemma_battery(run: Run, *, seed: int = 0, exhaustive: bool = False) -> l
     def class_directions() -> list[int] | dict:
         dirs = []
         for c, members in enumerate(run.parallelism.classes):
-            d = _ground_direction(comp, members)
+            d = comp.direction_of(members)
             if d is None:
                 return {"class": c, "reason": "class has no single ground direction"}
             dirs.append(d)
@@ -426,11 +413,11 @@ def run_lemma_battery(run: Run, *, seed: int = 0, exhaustive: bool = False) -> l
         if missing:
             return {"deep_lines": missing, "reason": "deep lines not recovered"}
         expected_second = set()
+        dir_class = {d: c for c, d in enumerate(dirs)}
         for pi in comp.semiaffine_planes():
             hz = comp.plane_horizon(pi)
             if hz.bit_count() < 2:
                 continue
-            dir_class = {d: c for c, d in enumerate(dirs)}
             expected_second.add(tuple(sorted(dir_class[d] for d in bits(hz))))
         if expected_second != set(second):
             return {

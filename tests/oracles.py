@@ -7,7 +7,7 @@ spaces; the tests use them only as oracles.
 import itertools
 
 from polarcomp.algebra import _poly_mod, _poly_trim, normalize_point, pg_line, pg_points
-from polarcomp.incidence import bits
+from polarcomp.incidence import bits, mask_of
 
 
 def is_irreducible(modulus, p):
@@ -138,6 +138,30 @@ def plane_lines_scan(comp):
                 m |= 1 << k
         rows.append(m)
     return rows
+
+
+def realized_deep_points(comp):
+    """Horizon points that no proper line reaches."""
+    reached = mask_of(comp.point_at_infinity(k) for k in comp.affine_lines())
+    return comp.horizon & ~reached
+
+
+def affine_plane_horizon(comp, pi):
+    """Points at infinity realized by the affine lines inside plane ``pi``."""
+    lines = bits(comp.plane_lines(pi))
+    return mask_of(comp.point_at_infinity(k) for k in lines if comp.is_affine(k))
+
+
+def affine_semiaffine_planes(comp):
+    """Ids of the planes containing at least one affine line."""
+    return [pi for pi in range(len(comp.planes())) if affine_plane_horizon(comp, pi)]
+
+
+def unrealized_deep_lines(comp):
+    """Base ids of the horizon lines that are no plane's set of infinities."""
+    realized = {affine_plane_horizon(comp, pi) for pi in range(len(comp.planes()))}
+    st = comp.base.structure
+    return [k for k in comp.horizon_line_ids if st.line_masks[k] not in realized]
 
 
 def _meets(comp, k):

@@ -9,9 +9,11 @@ from collections import Counter
 import pytest
 
 import polarcomp.cli as cli_module
+import polarcomp.polar as polar_module
 import polarcomp.reconstruct as reconstruct_module
 import polarcomp.verify as verify_module
 from polarcomp.cli import main
+from polarcomp.complement import Complement, resolve_horizon
 from polarcomp.incidence import IncidenceStructure
 from polarcomp.reconstruct import Parallelism
 
@@ -103,6 +105,18 @@ def test_oversized_dimension_is_rejected_before_any_matrix(capsys):
     assert code == 2
     assert "outside supported range" in capsys.readouterr().err
     assert peak < 4 * 2**20  # a 4000 x 4000 matrix alone would take over 100 MB
+
+
+@pytest.mark.parametrize("desc", ["sp:8:16", "herm:7:16", "herm:5:9"])
+def test_oversized_space_is_refused_before_enumerating_points(desc, monkeypatch, capsys):
+    """PG(7,16) has 286,331,153 points and PG(5,9) 66,430: all past the cap."""
+
+    def enumerating(*args):
+        raise AssertionError("projective points enumerated")
+
+    monkeypatch.setattr(polar_module, "pg_points", enumerating)
+    assert run_cli("build", "--form", desc) == 2
+    assert f"exceeds {polar_module.MAX_PG_POINTS} points" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -220,13 +234,11 @@ def test_run_builds_parallelism_at_most_once(tmp_path, monkeypatch, horizon, tas
     """Each derived stage is built once per run, and only when a task needs it.
 
     The canonical map is checked once, and ``find_isomorphism`` validates its
-    mapping once: two isomorphism checks per reconstructing run."""
+    mapping once: two isomorphism checks per reconstructing run.  The only
+    incidence structures built are the base space and the reconstruction.
+    The complement task reads its horizon geometry without the plane-line
+    table; the battery's plane-chain check reads it."""
     calls = Counter()
-    init = Parallelism.__init__
-
-    def counting_init(self, comp):
-        calls["parallelism"] += 1
-        init(self, comp)
 
     def counting(name, fn):
         def wrapper(*args):
@@ -234,7 +246,11 @@ def test_run_builds_parallelism_at_most_once(tmp_path, monkeypatch, horizon, tas
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(Parallelism, "__init__", counting_init)
+    monkeypatch.setattr(Parallelism, "__init__", counting("parallelism", Parallelism.__init__))
+    monkeypatch.setattr(
+        IncidenceStructure, "__init__", counting("structures", IncidenceStructure.__init__)
+    )
+    monkeypatch.setattr(Complement, "plane_lines", counting("plane_lines", Complement.plane_lines))
     modules = [m for key, m in sys.modules.items() if key.split(".")[0] == "polarcomp"]
     counted = (
         reconstruct_module.reconstruct,
@@ -249,9 +265,10 @@ def test_run_builds_parallelism_at_most_once(tmp_path, monkeypatch, horizon, tas
                     monkeypatch.setattr(module, key, wrapper)
     assert run_cli("run", "--form", "q+:5:2", "--horizon", horizon,
                    "--tasks", tasks, "--out", str(tmp_path / "out")) == 0
+    assert (calls.pop("plane_lines", 0) > 0) == ("lemmas" in tasks)
     assert calls == Counter(
         {"parallelism": builds, "reconstruct": builds, "canonical_map": builds,
-         "is_isomorphism": 2 * builds}
+         "is_isomorphism": 2 * builds, "structures": 1 + builds}
     )
 
 
@@ -361,6 +378,24 @@ def test_horizons_planes_and_meets(tmp_path):
                    "--out", str(out2)) == 0
     meets = read(out2)
     assert len(meets["entries"]) == 35 * 34 // 2
+
+
+@pytest.mark.parametrize("form, fixture", [("sp:6:2", "sp62"), ("q+:5:3", "q53")])
+def test_listed_horizon_atoms_resolve_to_their_size(form, fixture, request, capsys):
+    ps = request.getfixturevalue(fixture)
+    st = ps.structure
+    counts = {
+        "points": st.n_points,
+        "lines": len(st.lines),
+        "planes": len(ps.singular_planes()),
+        "perps": st.n_points,
+    }
+    for kind, count in counts.items():
+        assert run_cli("horizons", "--form", form, "--kind", kind) == 0
+        entries = json.loads(capsys.readouterr().out)["entries"]
+        assert len(entries) == count
+        for entry in entries:
+            assert resolve_horizon(ps, entry["spec"]).bit_count() == entry["size"], entry
 
 
 def test_horizons_rejects_unknown_kind():

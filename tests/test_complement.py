@@ -13,7 +13,14 @@ from polarcomp import (
     resolve_horizon,
 )
 from polarcomp.incidence import bits, mask_of
-from oracles import plane_lines_scan, plane_path_scan
+from oracles import (
+    affine_plane_horizon,
+    affine_semiaffine_planes,
+    plane_lines_scan,
+    plane_path_scan,
+    realized_deep_points,
+    unrealized_deep_lines,
+)
 
 
 def test_point_horizon_counts(comp_point):
@@ -89,6 +96,21 @@ def test_affine_flag_against_closure(comp_line, sp62):
         comp_line.point_at_infinity(comp_line.n_lines - 1)  # disjoint from horizon
 
 
+def test_direction_of(comp_line):
+    """The one shared point at infinity, or None for mixed, non-affine or no lines."""
+    by_direction = {}
+    for k in comp_line.affine_lines():
+        by_direction.setdefault(comp_line.point_at_infinity(k), []).append(k)
+    (d1, fiber1), (d2, fiber2) = list(by_direction.items())[:2]
+    assert comp_line.direction_of(fiber1) == d1
+    assert comp_line.direction_of(fiber2[:1]) == d2
+    assert comp_line.direction_of(fiber1 + fiber2[:1]) is None
+    ground = next(k for k in range(comp_line.n_lines) if not comp_line.is_affine(k))
+    assert comp_line.direction_of(fiber1 + [ground]) is None
+    assert comp_line.direction_of([ground]) is None
+    assert comp_line.direction_of([]) is None
+
+
 def test_lines_at_point(comp_point):
     for p in comp_point.proper_points[:10]:
         ids = list(bits(comp_point.lines_at_point(p)))
@@ -107,6 +129,39 @@ def test_planes_and_semiaffine(comp_point):
     others = set(range(135)) - set(semi)
     with pytest.raises(ValueError):
         comp_point.plane_horizon(next(iter(others)))
+
+
+@pytest.mark.parametrize(
+    "space, spec, n_deep_points, n_deep_lines",
+    [
+        ("sp62", "perp 0", 1, 15),
+        ("q53", "perp 0", 1, 16),
+        ("q53", "meet perp 0 perp 3", 0, 1),
+        ("sp62", "meet perp 0 perp 3", 0, 1),
+        ("qm72", "meet perp 0 perp 1", 0, 0),
+        ("sp63", "line 0", 0, 0),
+        ("sp62", "", 0, 0),
+    ],
+)
+def test_horizon_notions_match_affine_line_oracles(
+    space, spec, n_deep_points, n_deep_lines, request
+):
+    """Deep points and lines read from perps, and semiaffine planes and their
+    infinities read from plane masks, agree with the affine-line definitions."""
+    ps = request.getfixturevalue(space)
+    comp = build_complement(ps, resolve_horizon(ps, spec))
+    assert comp.deep_points() == realized_deep_points(comp)
+    assert comp.deep_points().bit_count() == n_deep_points
+    assert comp.semiaffine_planes() == affine_semiaffine_planes(comp)
+    for pi in range(len(comp.planes())):
+        expected = affine_plane_horizon(comp, pi)
+        if expected:
+            assert comp.plane_horizon(pi) == expected, pi
+        else:
+            with pytest.raises(ValueError, match="not semiaffine"):
+                comp.plane_horizon(pi)
+    assert comp.deep_lines() == unrealized_deep_lines(comp)
+    assert len(comp.deep_lines()) == n_deep_lines
 
 
 def _horizon(ps, spec):
@@ -350,6 +405,19 @@ def test_resolver_nesting_is_not_bounded_by_recursion(sp62):
 )
 def test_resolver_rejects_malformed_specs(sp62, spec):
     with pytest.raises(ValueError):
+        resolve_horizon(sp62, spec)
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("plane 99999", "plane id 99999 out of range"),
+        ("perp -1", "perp id -1 out of range"),
+        ("point 63", "point id 63 out of range"),
+    ],
+)
+def test_resolver_out_of_range_messages(sp62, spec, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
         resolve_horizon(sp62, spec)
 
 

@@ -175,7 +175,8 @@ def test_axiom_witnesses_match_oracles(desc):
     }
     for name, variant in variants.items():
         tampered = IncidenceStructure(st.n_points, variant)
-        pl = _partial_linear_witness(tampered)
+        rows = ((p, tampered.lines_at(p)) for p in range(tampered.n_points))
+        pl = _partial_linear_witness(rows, tampered.line_masks)
         oa = _one_or_all_witness(tampered)
         assert pl == partial_linear_scan(tampered), name
         assert oa == one_or_all_scan(tampered), name
