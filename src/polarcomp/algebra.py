@@ -101,19 +101,13 @@ class GF:
         """Build the field with ``q`` elements, factoring ``q`` as a prime power."""
         if q < 2:
             raise ValueError(f"no field of order {q}")
-        for p in range(2, q + 1):
-            if not _is_prime(p):
-                continue
-            k = 0
-            n = q
-            while n % p == 0:
-                n //= p
-                k += 1
-            if n == 1:
-                return cls(p, k)
-            if k > 0:
-                break
-        raise ValueError(f"{q} is not a prime power")
+        if q > MAX_ORDER:
+            raise ValueError(f"field order {q} exceeds the supported maximum {MAX_ORDER}")
+        p = next(d for d in range(2, q + 1) if q % d == 0)  # the least prime factor
+        k = next(k for k in range(1, q) if p**k >= q)
+        if p**k != q:
+            raise ValueError(f"{q} is not a prime power")
+        return cls(p, k)
 
     def _build_tables(self) -> None:
         p, k, q = self.p, self.k, self.q

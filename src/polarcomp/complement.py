@@ -14,7 +14,7 @@ the complement's own line list.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import HorizonRefusal, LemmaFalsified
 from .incidence import bits, mask_of
@@ -40,10 +40,10 @@ class Complement:
             raise ValueError("horizon must be a subspace of the base space")
         if horizon == st.full_mask:
             raise HorizonRefusal("horizon equals the whole point set")
-        # Over a hyperplane horizon this is the horizon alone: hyperplanes are
-        # maximal subspaces.
-        self._over_horizon = [h for h in base.hyperplane_candidates() if not horizon & ~h]
-        if not self._over_horizon:
+        # The candidate hyperplanes containing the horizon: exactly
+        # ``[horizon]`` when it is a hyperplane, as hyperplanes are maximal.
+        self.over_horizon = [h for h in base.hyperplane_candidates() if not horizon & ~h]
+        if not self.over_horizon:
             raise HorizonRefusal("horizon lies in no candidate hyperplane")
         self.base = base
         self.horizon = horizon
@@ -128,28 +128,13 @@ class Complement:
     def plane_lines(self, pi: int) -> int:
         """Bitmask of proper line ids whose trace lies inside plane ``pi``."""
         if self._plane_lines is None:
-            # A proper trace inside a plane has at least two points, so its
-            # base line joins two points of the plane.
-            st = self.base.structure
             proper_id = {b: k for k, b in enumerate(self.line_closure)}
-
-            def joins(a: int, rest: int) -> Iterator[int]:
-                """Lines from ``a`` to the points of ``rest``, each once."""
-                while rest:
-                    b = st.line_through(a, (rest & -rest).bit_length() - 1)
-                    rest &= ~st.line_masks[b]
-                    yield b
-
-            self._plane_lines = []
-            for plane in self.planes():
-                # The lines through the lowest point, then the lines off the
-                # first of them through its other points: each line once.
-                a = (plane & -plane).bit_length() - 1
-                ids = list(joins(a, plane & ~(1 << a)))
-                first = st.line_masks[ids[0]]
-                for p in bits(first & ~(1 << a)):
-                    ids += joins(p, plane & ~first)
-                self._plane_lines.append(mask_of(proper_id[b] for b in ids if b in proper_id))
+            base = self.base
+            self._plane_lines = [
+                mask_of(proper_id[b] for b in ids if b in proper_id)
+                for plane, ids in zip(base.singular_planes(), base.singular_plane_lines())
+                if plane & self.proper_mask
+            ]
         return self._plane_lines[pi]
 
     def semiaffine_planes(self) -> list[int]:
@@ -185,7 +170,7 @@ class Complement:
         self._require_parallel_pair(k, l)
         km = self.base.structure.line_masks[self.line_closure[k]]
         lm = self.base.structure.line_masks[self.line_closure[l]]
-        for h in self._over_horizon:
+        for h in self.over_horizon:
             if km & ~h and lm & ~h:
                 return h
         raise LemmaFalsified(

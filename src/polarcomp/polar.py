@@ -250,6 +250,34 @@ def compute_rank(st: IncidenceStructure) -> int:
         rank += 1
 
 
+def _plane_lines(st: IncidenceStructure) -> dict[int, tuple[int, ...]]:
+    """Each singular plane's mask with its ascending line ids, each plane built
+    once: from the first line in it, through the points of that line's perp
+    that no plane found through the line covers (such planes meet only in it)."""
+    covered = list(st.line_masks)
+    found = {}
+    for li, lm in enumerate(st.line_masks):
+        rest = st.set_perp(lm) & ~covered[li]
+        while rest:
+            # The plane on L and x: L, the spokes from x to the points of L,
+            # and at each point of L the lines to the points off L and its spoke.
+            x = (rest & -rest).bit_length() - 1
+            spokes = [st.line_through(x, p) for p in st.lines[li]]
+            plane = lm | mask_of(p for k in spokes for p in st.lines[k])
+            ids = [li, *spokes]
+            for p, k in zip(st.lines[li], spokes):
+                off = plane & ~lm & ~st.line_masks[k]
+                while off:
+                    j = st.line_through(p, (off & -off).bit_length() - 1)
+                    ids.append(j)
+                    off &= ~st.line_masks[j]
+            for k in ids:
+                covered[k] |= plane
+            found[plane] = tuple(sorted(ids))
+            rest &= ~plane
+    return found
+
+
 class PolarSpace:
     """A classical polar space with its coordinate model attached."""
 
@@ -266,6 +294,7 @@ class PolarSpace:
         self.rank = rank
         self.ambient_dim = form.dim - 1
         self._planes: list[int] | None = None
+        self._plane_lines: list[tuple[int, ...]] = []
         self._hyp_candidates: list[int] | None = None
 
     @classmethod
@@ -303,25 +332,15 @@ class PolarSpace:
     def singular_planes(self) -> list[int]:
         """Masks of all singular planes, empty when the rank is below 3."""
         if self._planes is None:
-            if self.rank < 3:
-                self._planes = []
-            else:
-                st = self.structure
-                seen = set()
-                for li, lm in enumerate(st.line_masks):
-                    # The plane on L and x in L's perp is L plus the lines
-                    # joining x to the points of L.
-                    covered = lm
-                    for x in bits(st.set_perp(lm) & ~covered):
-                        if (covered >> x) & 1:
-                            continue
-                        plane = lm
-                        for p in st.lines[li]:
-                            plane |= st.line_masks[st.line_through(x, p)]
-                        covered |= plane
-                        seen.add(plane)
-                self._planes = sorted(seen, key=lambda m: tuple(bits(m)))
+            found = _plane_lines(self.structure) if self.rank >= 3 else {}
+            self._planes = sorted(found, key=lambda m: tuple(bits(m)))
+            self._plane_lines = [found[m] for m in self._planes]
         return self._planes
+
+    def singular_plane_lines(self) -> list[tuple[int, ...]]:
+        """Ascending line ids of each singular plane, in plane order."""
+        self.singular_planes()
+        return self._plane_lines
 
     def hyperplane_candidates(self) -> list[int]:
         """Ambient-hyperplane sections, deduplicated, in covector order.
@@ -436,6 +455,6 @@ def check_polar_axioms(obj: "PolarSpace | IncidenceStructure") -> AxiomReport:
         thick=thin is None,
         nondegenerate=deg is None,
         one_or_all=oa is None,
-        rank=compute_rank(st),
+        rank=obj.rank if isinstance(obj, PolarSpace) else compute_rank(st),
         witnesses=witnesses,
     )

@@ -306,9 +306,10 @@ class Run:
         self.complement = comp
         self._kept: dict = {}
 
-    @_stage
+    @property
     def delegated(self) -> bool:
-        return self.complement.base.structure.is_hyperplane(self.complement.horizon)
+        """The horizon is a hyperplane: the one candidate hyperplane over it."""
+        return self.complement.over_horizon == [self.complement.horizon]
 
     @_stage
     def parallelism(self) -> Parallelism | None:

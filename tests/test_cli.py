@@ -3,11 +3,13 @@
 import hashlib
 import json
 import sys
+import time
 import tracemalloc
 from collections import Counter
 
 import pytest
 
+import polarcomp.algebra as algebra_module
 import polarcomp.cli as cli_module
 import polarcomp.polar as polar_module
 import polarcomp.reconstruct as reconstruct_module
@@ -119,6 +121,19 @@ def test_oversized_space_is_refused_before_enumerating_points(desc, monkeypatch,
     assert f"exceeds {polar_module.MAX_PG_POINTS} points" in capsys.readouterr().err
 
 
+def test_huge_field_order_is_refused_before_factoring(monkeypatch, capsys):
+    """Factoring 1000000007 tested every smaller integer for primality."""
+
+    def testing(n):
+        raise AssertionError("field order factored")
+
+    monkeypatch.setattr(algebra_module, "_is_prime", testing)
+    start = time.perf_counter()
+    assert run_cli("build", "--form", "sp:6:1000000007") == 2
+    assert time.perf_counter() - start < 1
+    assert "exceeds the supported maximum 16" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # run
 # ---------------------------------------------------------------------------
@@ -222,6 +237,32 @@ def test_run_refuses_span_of_everything(capsys):
     assert "whole point set" in capsys.readouterr().err
 
 
+def _patch_every_binding(monkeypatch, original, wrapper):
+    """Replace ``original`` in every package module, so calls by any import
+    path reach ``wrapper``."""
+    for key, module in list(sys.modules.items()):
+        if key.split(".")[0] == "polarcomp":
+            for name, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, name, wrapper)
+
+
+def test_run_axioms_computes_the_rank_once(tmp_path, monkeypatch):
+    """``check_polar_axioms`` reads the rank the build already computed."""
+    calls = 0
+    compute_rank = polar_module.compute_rank
+
+    def counting(st):
+        nonlocal calls
+        calls += 1
+        return compute_rank(st)
+
+    _patch_every_binding(monkeypatch, compute_rank, counting)
+    assert run_cli("run", "--form", "q+:5:2", "--horizon", "point 0",
+                   "--tasks", "axioms", "--out", str(tmp_path / "out")) == 0
+    assert calls == 1
+
+
 @pytest.mark.parametrize(
     "horizon, tasks, builds",
     [
@@ -251,18 +292,13 @@ def test_run_builds_parallelism_at_most_once(tmp_path, monkeypatch, horizon, tas
         IncidenceStructure, "__init__", counting("structures", IncidenceStructure.__init__)
     )
     monkeypatch.setattr(Complement, "plane_lines", counting("plane_lines", Complement.plane_lines))
-    modules = [m for key, m in sys.modules.items() if key.split(".")[0] == "polarcomp"]
     counted = (
         reconstruct_module.reconstruct,
         reconstruct_module.canonical_map,
         verify_module.is_isomorphism,
     )
     for original in counted:
-        wrapper = counting(original.__name__, original)
-        for module in modules:  # every binding, so calls by any import path count
-            for key, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, key, wrapper)
+        _patch_every_binding(monkeypatch, original, counting(original.__name__, original))
     assert run_cli("run", "--form", "q+:5:2", "--horizon", horizon,
                    "--tasks", tasks, "--out", str(tmp_path / "out")) == 0
     assert (calls.pop("plane_lines", 0) > 0) == ("lemmas" in tasks)

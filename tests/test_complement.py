@@ -8,6 +8,7 @@ from polarcomp import (
     Complement,
     HorizonRefusal,
     LemmaFalsified,
+    Run,
     build_complement,
     drop_proper_line,
     resolve_horizon,
@@ -166,8 +167,11 @@ def test_horizon_notions_match_affine_line_oracles(
 
 def _horizon(ps, spec):
     """A horizon by spec; ``span`` joins point 0 to its first noncollinear
-    point, ``line-perp`` is the perp of line 0."""
+    point, ``line-perp`` is the perp of line 0, ``section`` the first ambient
+    hyperplane section that is no perp."""
     st = ps.structure
+    if spec == "section":
+        return next(c for c in ps.hyperplane_candidates() if c not in st.adj)
     if spec == "span":
         b = next(j for j in range(1, st.n_points) if not st.collinear(0, j))
         return resolve_horizon(ps, f"span 0,{b}")
@@ -223,12 +227,8 @@ def test_avoiding_hyperplane_usage_errors(comp_point):
 def test_hyperplane_horizon_avoids_via_itself(space, horizon, request):
     """The only candidate over a hyperplane horizon is the horizon itself."""
     ps = request.getfixturevalue(space)
-    st = ps.structure
-    if horizon == "section":  # an ambient hyperplane section that is no perp
-        h = next(c for c in ps.hyperplane_candidates() if c not in st.adj)
-    else:
-        h = resolve_horizon(ps, horizon)
-    assert st.is_hyperplane(h)
+    h = _horizon(ps, horizon)
+    assert ps.structure.is_hyperplane(h)
     comp = build_complement(ps, h)
     fibers = {}
     for k in comp.affine_lines():
@@ -237,6 +237,23 @@ def test_hyperplane_horizon_avoids_via_itself(space, horizon, request):
     assert pairs
     for k, l in pairs:
         assert comp.avoiding_hyperplane(k, l) == comp.horizon
+
+
+@pytest.mark.parametrize(
+    "space, horizon",
+    [
+        ("sp62", "perp 0"), ("q62", "perp 0"), ("q53", "perp 5"), ("q53", "section"),
+        ("sp62", "point 0"), ("q62", "line 0"), ("q53", "span"),
+    ],
+)
+def test_delegated_exactly_over_hyperplanes(space, horizon, request):
+    """The one candidate hyperplane over the horizon is the horizon itself
+    exactly when the horizon is a hyperplane."""
+    ps = request.getfixturevalue(space)
+    comp = build_complement(ps, _horizon(ps, horizon))
+    delegated = Run(comp).delegated
+    assert delegated == ps.structure.is_hyperplane(comp.horizon)
+    assert delegated == horizon.startswith(("perp", "section"))
 
 
 def test_plane_path(comp_point):

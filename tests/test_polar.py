@@ -125,6 +125,31 @@ def test_singular_planes_of_larger_spaces(desc, q, n_planes):
     assert all(_is_singular_plane(ps.structure, m, q) for m in planes)
 
 
+@pytest.mark.parametrize("desc", ["sp:6:2", "q+:5:3", "q-:7:2", "sp:6:3"])
+def test_singular_plane_lines_match_lines_in(desc):
+    ps = _space(desc)
+    st = ps.structure
+    assert ps.singular_plane_lines() == [tuple(st.lines_in(m)) for m in ps.singular_planes()]
+
+
+def test_singular_planes_build_each_plane_once(monkeypatch):
+    """Each of the 80 planes of q+:5:3 is built once with its 13 lines: at
+    most 17 ``line_through`` calls per plane (4160 when a plane was rebuilt
+    from each of its lines)."""
+    ps = PolarSpace.from_form(parse_form("q+:5:3"))
+    calls = 0
+    line_through = IncidenceStructure.line_through
+
+    def counting(self, a, b):
+        nonlocal calls
+        calls += 1
+        return line_through(self, a, b)
+
+    monkeypatch.setattr(IncidenceStructure, "line_through", counting)
+    assert len(ps.singular_planes()) == 80
+    assert calls <= 80 * 17
+
+
 @pytest.mark.parametrize(
     "desc, rank", [("herm:5:4", 3), ("q:6:3", 3), ("sp:8:2", 4)]
 )
