@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .algebra import GF, pg_line, pg_points
+from .algebra import GF, pg_points
 from .errors import ConfigurationError
 from .incidence import IncidenceStructure, bits, mask_of
 
@@ -230,6 +230,18 @@ def _sections(
         yield partial[0]
 
 
+def _perp_line(perps: list[int], i: int, j: int, size: int) -> int:
+    """Mask of the line on the orthogonal points ``i``, ``j``: the points
+    orthogonal to both are orthogonal to all of it, and in a nondegenerate
+    space no other point lies in all their perps."""
+    line = both = perps[i] & perps[j]
+    for x in bits(both):
+        line &= perps[x]
+        if line.bit_count() == size:
+            return line
+    raise ConfigurationError(f"degenerate space: points {i} and {j} span no line of {size} points")
+
+
 def compute_rank(st: IncidenceStructure) -> int:
     """Length of a maximal chain of nonempty singular subspaces.
 
@@ -305,21 +317,19 @@ class PolarSpace:
         pts = [p for p in pg_points(field, form.dim - 1) if form.vec_singular(p)]
         if not pts:
             raise ConfigurationError("the form admits no singular points")
-        index = {p: i for i, p in enumerate(pts)}
         # joined[i]: points already on a found line through point i, so each
         # line is built once, from its first orthogonal pair.
         joined = [1 << i for i in range(len(pts))]
         lines = []
-        perps = _sections(field, pts, (form.perp_covector(p) for p in pts))
+        perps = list(_sections(field, pts, (form.perp_covector(p) for p in pts)))
         for i, perp in enumerate(perps):
             rest = perp & ~joined[i] & ~((2 << i) - 1)
             while rest:
                 j = (rest & -rest).bit_length() - 1
-                line = tuple(sorted(index[p] for p in pg_line(field, pts[i], pts[j])))
-                m = mask_of(line)
-                for p in line:
+                m = _perp_line(perps, i, j, field.q + 1)
+                for p in bits(m):
                     joined[p] |= m
-                lines.append(line)
+                lines.append(tuple(bits(m)))
                 rest &= ~m
         st = IncidenceStructure(len(pts), sorted(lines))
         for p in range(st.n_points):

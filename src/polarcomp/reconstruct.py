@@ -5,20 +5,19 @@ by the crossing configuration when two further lines cross both and meet
 each other in a point off them.  Such pairs are found from the crossing
 point: for each proper point ``p`` and each two lines ``t1``, ``t2``
 through it, every line that meets both away from ``p`` is crossed there,
-so any two disjoint lines among them are related.  On top of the
-reflexive-transitive closure of that relation (the connected components
-of its symmetric bit rows) sit the anti-euclidean relation on affine
-lines, its lift to parallel classes, and the ternary collinearity test for
-directions.
+so any two disjoint lines among them are related.  Its reflexive-transitive
+closure (the connected components of its symmetric bit rows) partitions
+the affine lines into parallel classes; the anti-euclidean relation on
+classes and the ternary collinearity test for directions read that partition.
 
 New points are the parallel classes.  New lines come in two families: sets
-of classes mutually related under the lifted relation (these recover lines
-of the horizon that no plane reaches) and per-plane direction sets.  The
-assembly is purely intrinsic; the ground-truth horizon data of the
-complement is consulted only by :func:`canonical_map` and the verification
-layer.  :class:`Run` holds one configuration's chain (complement,
-parallelism, reconstruction, canonical map and its isomorphism check), each
-stage built on first use and kept.
+of mutually anti-euclidean classes (these recover lines of the horizon
+that no plane reaches) and per-plane direction sets.  The assembly reads
+only proper lines and planes, never the horizon, whose ground-truth data
+is consulted only by :func:`canonical_map` and the verification layer.
+:class:`Run` holds one configuration's chain (complement, parallelism,
+reconstruction, canonical map and its isomorphism check), each stage built
+on first use and kept.
 """
 
 from __future__ import annotations
@@ -88,7 +87,6 @@ class Parallelism:
 
         # Classes: connected components of the symmetric star rows, each
         # grown from the lowest-id line not yet in a class.
-        self._affine = [row != 0 for row in star]
         cid: dict[int, int] = {}
         masks: list[int] = []
         todo = mask_of(i for i, row in enumerate(star) if row)
@@ -107,24 +105,17 @@ class Parallelism:
         self.class_id = cid
         self.class_line_mask = masks
         self.n_classes = len(masks)
-        self._par_rows = [masks[cid[i]] if self._affine[i] else 0 for i in range(n)]
 
-        # reach[k]: classes having a member through some point of line k.
+        # creach[c]: the classes having a member through a point of class c.
+        class_points = [mask_of(p for k in cls for p in bits(lm[k])) for cls in self.classes]
         point_classes: dict[int, int] = {}
-        for k, c in cid.items():
-            for p in bits(lm[k]):
+        for c, pts in enumerate(class_points):
+            for p in bits(pts):
                 point_classes[p] = point_classes.get(p, 0) | (1 << c)
-        self.reach = [0] * n
-        for k in range(n):
-            if not self._affine[k]:
-                continue
-            r = 0
-            for p in bits(lm[k]):
-                r |= point_classes.get(p, 0)
-            self.reach[k] = r
         self.creach = [0] * self.n_classes
-        for k, c in cid.items():
-            self.creach[c] |= self.reach[k]
+        for c, pts in enumerate(class_points):
+            for p in bits(pts):
+                self.creach[c] |= point_classes[p]
         self.related = _related_rows(self.creach)
 
         self._prime: list[tuple[int, ...]] | None = None
@@ -137,29 +128,24 @@ class Parallelism:
 
     def parallel(self, k1: int, k2: int) -> bool:
         """Reflexive-transitive closure of the crossing configuration."""
-        return bool((self._par_rows[k1] >> k2) & 1)
+        return k1 in self.class_id and bool((self.class_line_mask[self.class_id[k1]] >> k2) & 1)
 
     def table(self) -> list[int]:
         """Row ``k``: bitmask of lines intrinsically parallel to ``k``."""
-        return list(self._par_rows)
+        cid, masks = self.class_id, self.class_line_mask
+        return [masks[cid[k]] if k in cid else 0 for k in range(self.comp.n_lines)]
 
     def is_affine(self, k: int) -> bool:
         """Self-parallel lines; intrinsically detected."""
-        return self._affine[k]
+        return k in self.class_id
 
     def affine_ids(self) -> list[int]:
-        return [k for k in range(self.comp.n_lines) if self._affine[k]]
+        return sorted(self.class_id)
 
-    # -- relations on affine lines and classes -------------------------------
-
-    def anti_euclidean(self, k1: int, k2: int) -> bool:
-        """No affine line through a point of the first is parallel to the second."""
-        if not self._affine[k1] or not self._affine[k2]:
-            raise ValueError("both lines must be affine")
-        return not (self.reach[k1] >> self.class_id[k2]) & 1
+    # -- relations on classes -------------------------------------------------
 
     def equiv(self, c1: int, c2: int) -> bool:
-        """The anti-euclidean relation lifted to a pair of classes."""
+        """The anti-euclidean relation on a pair of classes."""
         return bool((self.related[c1] >> c2) & 1)
 
     def lines_prime(self) -> list[tuple[int, ...]]:
@@ -181,11 +167,14 @@ class Parallelism:
         return self._prime
 
     def lines_second(self) -> list[tuple[int, ...]]:
-        """Per-plane direction sets of size at least two."""
+        """Per-plane direction sets of size at least two.  Every plane is read:
+        one missing the horizon holds no affine line, as a line and its star
+        partner share a plane, so they meet, and not in a proper point."""
         if self._second is None:
+            cid = self.class_id
             groups = (
-                {self.class_id[k] for k in bits(self.comp.plane_lines(pi)) if self._affine[k]}
-                for pi in self.comp.semiaffine_planes()
+                {cid[k] for k in bits(self.comp.plane_lines(pi)) if k in cid}
+                for pi in range(len(self.comp.planes()))
             )
             self._second = list(dict.fromkeys(tuple(sorted(g)) for g in groups if len(g) > 1))
         return self._second

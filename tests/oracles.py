@@ -268,3 +268,27 @@ def lines_prime_scan(par):
                 if group not in out:
                     out.append(group)
     return out
+
+
+def class_reach_scan(par):
+    """Row ``c``: the classes reached by a member of class ``c``, OR'd from
+    per-line reach rows.  Line ``k`` reaches the classes having a member
+    that shares a proper point with ``k``."""
+    lm = par.comp.line_trace
+    rows = [0] * par.n_classes
+    for k, c in par.class_id.items():
+        rows[c] |= mask_of(par.class_id[m] for m in par.class_id if lm[k] & lm[m])
+    return rows
+
+
+def lines_second_scan(par):
+    """Direction sets of size at least two of the planes meeting the horizon,
+    each set once, in first-seen order."""
+    comp = par.comp
+    out = []
+    for pi in comp.semiaffine_planes():
+        lines = bits(comp.plane_lines(pi))
+        group = tuple(sorted({par.class_id[k] for k in lines if par.is_affine(k)}))
+        if len(group) > 1 and group not in out:
+            out.append(group)
+    return out

@@ -161,7 +161,7 @@ def test_axioms_and_rank_of_larger_spaces(desc, rank):
     assert rep.rank == rank
 
 
-@pytest.mark.parametrize("desc", ORACLE_SPACES)
+@pytest.mark.parametrize("desc", [*ORACLE_SPACES, "q+:7:2", "sp:8:2"])
 def test_lines_match_pairwise_oracle(desc):
     ps = _space(desc)
     assert ps.structure.lines == form_lines(ps)
@@ -211,15 +211,18 @@ def test_axiom_witnesses_match_oracles(desc):
 
 def test_from_form_builds_each_line_once(gf3, monkeypatch):
     calls = []
-    original = polar_module.pg_line
+    original = polar_module._perp_line
 
-    def counting_pg_line(*args):
-        calls.append(args)
-        return original(*args)
+    def counting_perp_line(perps, i, j, size):
+        calls.append((i, j))
+        return original(perps, i, j, size)
 
-    monkeypatch.setattr(polar_module, "pg_line", counting_pg_line)
+    monkeypatch.setattr(polar_module, "_perp_line", counting_perp_line)
     ps = build_polar(hyperbolic_form(5, gf3))
-    assert len(calls) == len(ps.structure.lines) == 520
+    lines = ps.structure.lines
+    assert len(calls) == len(lines) == 520
+    # each from its first orthogonal pair: the line's two lowest points
+    assert sorted(calls) == [line[:2] for line in lines]
 
 
 def test_hermitian_gq(gf4):
@@ -367,8 +370,12 @@ def test_degenerate_form_is_rejected(gf2):
     g[0][1], g[1][0] = 1, 1
     g[2][3], g[3][2] = 1, 1
     form = FormSpec("symplectic", gf2, 6, tuple(tuple(r) for r in g))
-    with pytest.raises(ConfigurationError, match="degenerate"):
+    with pytest.raises(ConfigurationError, match="points 0 and 3 span no line of 3 points"):
         PolarSpace.from_form(form)
+    # the zero form on a projective line: one line, every point on it
+    zero = FormSpec("symplectic", gf2, 2, ((0, 0), (0, 0)))
+    with pytest.raises(ConfigurationError, match="point 0 is collinear with every point"):
+        PolarSpace.from_form(zero)
 
 
 def test_repr(sp62):

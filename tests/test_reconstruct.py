@@ -15,6 +15,7 @@ import types
 import pytest
 
 from polarcomp import (
+    Complement,
     HorizonRefusal,
     Parallelism,
     Run,
@@ -27,7 +28,14 @@ from polarcomp import (
 from polarcomp.incidence import bits, mask_of
 from polarcomp.reconstruct import _related_rows, reconstruct
 
-from oracles import class_equiv, lines_prime_scan, star_parallel, star_table
+from oracles import (
+    class_equiv,
+    class_reach_scan,
+    lines_prime_scan,
+    lines_second_scan,
+    star_parallel,
+    star_table,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -53,22 +61,44 @@ def test_star_is_irreflexive_on_meeting_lines(comp_point, par_point):
             assert not star_parallel(comp_point, k, l)
 
 
-@pytest.mark.parametrize(
-    "spec", ["point 0", "line 0", "span", "meet perp 0 perp 3", "plane 0", ""]
-)
-@pytest.mark.parametrize("space", ["sp62", "q52", "q62"])
-def test_star_rows_match_pairwise_oracle(space, spec, request):
+MATRIX_SPECS = ["point 0", "line 0", "span", "meet perp 0 perp 3", "plane 0", ""]
+MATRIX_SPACES = ["sp62", "q52", "q62"]
+
+
+def _matrix_complements(space, spec, request):
+    """The complement of ``spec`` in ``space``, intact and with line 0 dropped;
+    ``span`` spans point 0 and the first point not collinear with it."""
     ps = request.getfixturevalue(space)
     if spec == "span":
         st = ps.structure
         spec = f"span 0,{next(j for j in range(1, st.n_points) if not st.collinear(0, j))}"
     comp = build_complement(ps, resolve_horizon(ps, spec))
-    for c in (comp, drop_proper_line(comp, 0)):
+    return comp, drop_proper_line(comp, 0)
+
+
+@pytest.mark.parametrize("spec", MATRIX_SPECS)
+@pytest.mark.parametrize("space", MATRIX_SPACES)
+def test_star_rows_match_pairwise_oracle(space, spec, request):
+    for c in _matrix_complements(space, spec, request):
         assert Parallelism(c).star_rows == star_table(c)
 
 
 def test_star_rows_match_pairwise_oracle_q53(comp_q53_lperp, par_q53):
     assert par_q53.star_rows == star_table(comp_q53_lperp)
+
+
+@pytest.mark.parametrize("spec", MATRIX_SPECS)
+@pytest.mark.parametrize("space", MATRIX_SPACES)
+def test_class_tables_match_per_line_oracles(space, spec, request):
+    for c in _matrix_complements(space, spec, request):
+        par = Parallelism(c)
+        assert par.creach == class_reach_scan(par)
+        assert par.lines_second() == lines_second_scan(par)
+
+
+def test_class_tables_match_per_line_oracles_q53(par_q53):
+    assert par_q53.creach == class_reach_scan(par_q53)
+    assert par_q53.lines_second() == lines_second_scan(par_q53)
 
 
 def test_point_horizon_single_class(comp_point, par_point):
@@ -100,17 +130,44 @@ def test_parallel_is_reflexive_exactly_on_affine(par_line, comp_line):
         assert par_line.parallel(k, k) == comp_line.is_affine(k)
 
 
+# The complement's ground-truth horizon geometry; the reconstruction must
+# not read it.
+HORIZON_READS = [
+    "semiaffine_planes",
+    "plane_horizon",
+    "deep_points",
+    "deep_lines",
+    "parallel_table",
+    "point_at_infinity",
+    "horizon_parallel",
+    "direction_of",
+    "is_affine",
+    "affine_lines",
+]
+
+
+@pytest.mark.parametrize("space, spec", [("q53", "meet perp 0 perp 3"), ("sp62", "line 0")])
+def test_reconstruction_reads_no_horizon_data(space, spec, request, monkeypatch):
+    ps = request.getfixturevalue(space)
+    horizon = resolve_horizon(ps, spec)
+
+    def families():
+        par = Parallelism(build_complement(ps, horizon))
+        return par.lines_prime(), par.lines_second(), reconstruct(par).families
+
+    expected = families()
+
+    def refuse(*args):
+        raise AssertionError("the reconstruction read horizon data")
+
+    for name in HORIZON_READS:
+        monkeypatch.setattr(Complement, name, refuse)
+    assert families() == expected
+
+
 # ---------------------------------------------------------------------------
 # derived relations
 # ---------------------------------------------------------------------------
-
-
-def test_anti_euclidean_requires_affine_input(par_point, comp_point):
-    aff = comp_point.affine_lines()
-    with pytest.raises(ValueError, match="affine"):
-        par_point.anti_euclidean(aff[0], 300)
-    # one shared direction: representatives always see each other
-    assert not par_point.anti_euclidean(aff[0], aff[1])
 
 
 def test_equiv_is_antireflexive(par_line):
