@@ -73,7 +73,7 @@ class Complement:
                 self._point_lines[p] = self._point_lines.get(p, 0) | (1 << i)
 
         self._planes: list[int] | None = None
-        self._plane_lines: list[int] | None = None
+        self._plane_ids: list[tuple[int, ...]] | None = None
         self._plane_graph: tuple[list[int], dict[int, int]] | None = None
 
     # -- lines and parallelism --------------------------------------------
@@ -125,17 +125,21 @@ class Complement:
             self._planes = [m for m in self.base.singular_planes() if m & self.proper_mask]
         return self._planes
 
-    def plane_lines(self, pi: int) -> int:
-        """Bitmask of proper line ids whose trace lies inside plane ``pi``."""
-        if self._plane_lines is None:
+    def plane_line_ids(self, pi: int) -> tuple[int, ...]:
+        """Ascending proper line ids whose trace lies inside plane ``pi``."""
+        if self._plane_ids is None:
             proper_id = {b: k for k, b in enumerate(self.line_closure)}
             base = self.base
-            self._plane_lines = [
-                mask_of(proper_id[b] for b in ids if b in proper_id)
+            self._plane_ids = [
+                tuple(proper_id[b] for b in ids if b in proper_id)
                 for plane, ids in zip(base.singular_planes(), base.singular_plane_lines())
                 if plane & self.proper_mask
             ]
-        return self._plane_lines[pi]
+        return self._plane_ids[pi]
+
+    def plane_lines(self, pi: int) -> int:
+        """Bitmask of the proper line ids of :meth:`plane_line_ids`."""
+        return mask_of(self.plane_line_ids(pi))
 
     def semiaffine_planes(self) -> list[int]:
         """Ids of the planes that meet the horizon."""
@@ -189,7 +193,7 @@ class Complement:
             line_planes = [0] * self.n_lines
             at_infinity: dict[int, int] = {}
             for pi, plane in enumerate(self.planes()):
-                for j in bits(self.plane_lines(pi)):
+                for j in self.plane_line_ids(pi):
                     line_planes[j] |= 1 << pi
                 for d in bits(plane & self.horizon):
                     at_infinity[d] = at_infinity.get(d, 0) | (1 << pi)
@@ -207,7 +211,7 @@ class Complement:
                     path.append(parent[path[-1]])  # type: ignore[arg-type]
                 return path[::-1]
             step = 0
-            for j in bits(self.plane_lines(pi)):
+            for j in self.plane_line_ids(pi):
                 step |= line_planes[j]
             step &= nodes & ~seen
             seen |= step

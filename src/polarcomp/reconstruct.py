@@ -2,13 +2,12 @@
 
 The engine is :class:`Parallelism`.  Two disjoint proper lines are related
 by the crossing configuration when two further lines cross both and meet
-each other in a point off them.  Such pairs are found from the crossing
-point: for each proper point ``p`` and each two lines ``t1``, ``t2``
-through it, every line that meets both away from ``p`` is crossed there,
-so any two disjoint lines among them are related.  Its reflexive-transitive
-closure (the connected components of its symmetric bit rows) partitions
-the affine lines into parallel classes; the anti-euclidean relation on
-classes and the ternary collinearity test for directions read that partition.
+each other in a point off them.  Two coplanarity facts keep the work local.
+A crossing configuration lies in one singular plane, so the relation is
+built plane by plane.  A triangle of pairwise meeting lines spans one too,
+so ternary collinearity of directions looks for a triangle only in the
+planes holding members of all three classes.  The connected components of
+the relation's symmetric bit rows are the parallel classes of affine lines.
 
 New points are the parallel classes.  New lines come in two families: sets
 of mutually anti-euclidean classes (these recover lines of the horizon
@@ -23,6 +22,7 @@ on first use and kept.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations, product
 
 from .complement import Complement
 from .errors import HorizonRefusal, IntegrityError
@@ -52,37 +52,40 @@ class Parallelism:
 
     ``star_rows[i]`` holds the lines ``j`` disjoint from ``i`` for which two
     distinct lines ``t1``, ``t2`` cross both and meet each other in a point
-    ``p`` off ``i`` and ``j``.  The search starts from ``p``.  With ``T`` the
-    lines through ``p``, the lines meeting ``t`` in ``T`` away from ``p`` are
-    ``meets[t] & ~T``, since two lines through ``p`` share no other point.
-    For each pair ``t1``, ``t2`` in ``T`` the set ``C`` of lines meeting both
-    away from ``p`` is crossed by both, so any two disjoint lines of ``C``
-    are related.  Conversely a related pair lies in the ``C`` of its own
-    witness, so the rows are exactly the pairwise relation.
+    ``p`` off ``i`` and ``j``.  As ``p``, ``t1 & i`` and ``t2 & i`` are
+    pairwise collinear, all four lines lie in one singular plane.  So in
+    each plane, for each point ``p`` and two lines through it, any two
+    disjoint lines of the set ``C`` meeting both away from ``p`` are
+    related, and a related pair lies in the ``C`` of its own witness.
     """
 
     def __init__(self, comp: Complement):
         self.comp = comp
-        n = comp.n_lines
         lm = comp.line_trace
-        # meets[i]: lines sharing a proper point with line i, i included.
-        self.meets = [0] * n
-        for i in range(n):
-            m = 0
-            for p in bits(lm[i]):
-                m |= comp.lines_at_point(p)
-            self.meets[i] = m
-
-        star = [0] * n
-        for p in comp.proper_points:
-            through = comp.lines_at_point(p)
-            crossing = [self.meets[t] & ~through for t in bits(through)]
-            for a, c1 in enumerate(crossing):
-                for c2 in crossing[a + 1 :]:
-                    c = c1 & c2
-                    if c & (c - 1):
-                        for i in bits(c):
-                            star[i] |= c & ~self.meets[i]
+        star, whole = [0] * comp.n_lines, comp.base.form.field.q + 1
+        for pi in range(len(comp.planes())):
+            ids = comp.plane_line_ids(pi)
+            # Coplanar lines meet in the base: a plane of whole lines has no disjoint pair.
+            if all(lm[k].bit_count() == whole for k in ids):
+                continue
+            at: dict[int, int] = {}  # the plane's lines through each point
+            for a, k in enumerate(ids):
+                for p in bits(lm[k]):
+                    at[p] = at.get(p, 0) | 1 << a
+            meets = [0] * len(ids)  # meets[a]: the lines sharing a point with a, a included
+            for through in at.values():
+                for a in bits(through):
+                    meets[a] |= through
+            crossing = set()
+            for through in at.values():
+                off_p = [meets[t] & ~through for t in bits(through)]
+                crossing.update(c1 & c2 for c1, c2 in combinations(off_p, 2))
+            rows = [0] * len(ids)
+            for c in crossing:
+                for a in bits(c):
+                    rows[a] |= c & ~meets[a]
+            for a, row in enumerate(rows):
+                star[ids[a]] |= mask_of(ids[b] for b in bits(row))
         self.star_rows = star
 
         # Classes: connected components of the symmetric star rows, each
@@ -108,18 +111,18 @@ class Parallelism:
 
         # creach[c]: the classes having a member through a point of class c.
         class_points = [mask_of(p for k in cls for p in bits(lm[k])) for cls in self.classes]
-        point_classes: dict[int, int] = {}
-        for c, pts in enumerate(class_points):
-            for p in bits(pts):
-                point_classes[p] = point_classes.get(p, 0) | (1 << c)
-        self.creach = [0] * self.n_classes
-        for c, pts in enumerate(class_points):
-            for p in bits(pts):
-                self.creach[c] |= point_classes[p]
+        self.creach = [mask_of(c for c, b in enumerate(class_points) if a & b) for a in class_points]
         self.related = _related_rows(self.creach)
 
-        self._prime: list[tuple[int, ...]] | None = None
-        self._second: list[tuple[int, ...]] | None = None
+        # The classes with a member in each plane; the planes of each class.
+        self.plane_classes = [
+            mask_of(cid[k] for k in comp.plane_line_ids(pi) if k in cid)
+            for pi in range(len(comp.planes()))
+        ]
+        self.class_planes = [0] * self.n_classes
+        for pi, row in enumerate(self.plane_classes):
+            for c in bits(row):
+                self.class_planes[c] |= 1 << pi
 
     # -- the parallelism itself ---------------------------------------------
 
@@ -156,48 +159,40 @@ class Parallelism:
         reflexive sense) to both; duplicates from different generating pairs
         collapse.
         """
-        if self._prime is None:
-            hat = [row | 1 << c for c, row in enumerate(self.related)]
-            groups = (
-                tuple(bits(hat[c1] & hat[c2]))
-                for c1, row in enumerate(self.related)
-                for c2 in bits(row >> (c1 + 1) << (c1 + 1))
-            )
-            self._prime = list(dict.fromkeys(groups))
-        return self._prime
+        hat = [row | 1 << c for c, row in enumerate(self.related)]
+        groups = (
+            tuple(bits(hat[c1] & hat[c2]))
+            for c1, row in enumerate(self.related)
+            for c2 in bits(row >> (c1 + 1) << (c1 + 1))
+        )
+        return list(dict.fromkeys(groups))
 
     def lines_second(self) -> list[tuple[int, ...]]:
         """Per-plane direction sets of size at least two.  Every plane is read:
         one missing the horizon holds no affine line, as a line and its star
         partner share a plane, so they meet, and not in a proper point."""
-        if self._second is None:
-            cid = self.class_id
-            groups = (
-                {cid[k] for k in bits(self.comp.plane_lines(pi)) if k in cid}
-                for pi in range(len(self.comp.planes()))
-            )
-            self._second = list(dict.fromkeys(tuple(sorted(g)) for g in groups if len(g) > 1))
-        return self._second
+        return list(dict.fromkeys(tuple(bits(m)) for m in self.plane_classes if m & (m - 1)))
 
     def ternary_collinear(self, c1: int, c2: int, c3: int) -> bool:
         """Whether three distinct directions lie on a common horizon line.
 
-        Either some representatives form a triangle (pairwise meeting in
-        three distinct points), or the three classes are mutually related.
+        Either the three classes are mutually related, or some
+        representatives form a triangle, pairwise meeting in three distinct
+        points.  A triangle spans a singular plane holding all three lines,
+        so only the planes with members of all three classes are searched.
         """
         if len({c1, c2, c3}) != 3:
             raise ValueError("classes must be pairwise distinct")
         r = self.related
         if (r[c1] >> c2) & (r[c2] >> c3) & (r[c3] >> c1) & 1:
             return True
-        lm = self.comp.line_trace
-        mask3 = self.class_line_mask[c3]
-        for m1 in self.classes[c1]:
-            for m2 in bits(self.class_line_mask[c2] & self.meets[m1]):
-                z12 = lm[m1] & lm[m2]
-                for m3 in bits(mask3 & self.meets[m1] & self.meets[m2]):
-                    if not (z12 == (lm[m1] & lm[m3]) == (lm[m2] & lm[m3])):
-                        return True
+        lm, cid, cp = self.comp.line_trace, self.class_id, self.class_planes
+        for pi in bits(cp[c1] & cp[c2] & cp[c3]):
+            ids = self.comp.plane_line_ids(pi)
+            for m1, m2, m3 in product(*([k for k in ids if cid.get(k) == c] for c in (c1, c2, c3))):
+                z = {lm[m1] & lm[m2], lm[m1] & lm[m3], lm[m2] & lm[m3]}
+                if 0 not in z and len(z) == 3:
+                    return True
         return False
 
 

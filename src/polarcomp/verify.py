@@ -7,9 +7,11 @@ against it, and failures carry witnesses instead of raising.
 
 from __future__ import annotations
 
+import itertools
 import random
 import time
 from collections import Counter
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import cache
 
@@ -267,12 +269,12 @@ def run_lemma_battery(run: Run, *, seed: int = 0, exhaustive: bool = False) -> l
             for pi in path:
                 if not (comp.planes()[pi] >> a) & 1:
                     return {"lines": [k, l], "plane": pi, "reason": "plane misses the infinity"}
-            if not (comp.plane_lines(path[0]) >> k) & 1:
+            if k not in comp.plane_line_ids(path[0]):
                 return {"lines": [k, l], "reason": "first plane misses the first line"}
-            if not (comp.plane_lines(path[-1]) >> l) & 1:
+            if l not in comp.plane_line_ids(path[-1]):
                 return {"lines": [k, l], "reason": "last plane misses the second line"}
             for pi, pj in zip(path, path[1:]):
-                if not comp.plane_lines(pi) & comp.plane_lines(pj):
+                if set(comp.plane_line_ids(pi)).isdisjoint(comp.plane_line_ids(pj)):
                     return {"lines": [k, l], "planes": [pi, pj], "reason": "no shared line"}
         return None
 
@@ -361,12 +363,7 @@ def run_lemma_battery(run: Run, *, seed: int = 0, exhaustive: bool = False) -> l
         if nc < 3:
             return None
         if exhaustive or nc <= CLASS_LIMIT:
-            triples = [
-                (a, b, c)
-                for a in range(nc)
-                for b in range(a + 1, nc)
-                for c in range(b + 1, nc)
-            ]
+            triples = list(itertools.combinations(range(nc), 3))
         else:
             chosen = set()
             while len(chosen) < TRIPLE_CAP:
@@ -468,4 +465,8 @@ def run_lemma_battery(run: Run, *, seed: int = 0, exhaustive: bool = False) -> l
     if delegated:
         reason = "hyperplane horizon: delegated case"
         return results + [CheckResult(check_id, "skip", {"reason": reason}) for check_id, _ in intrinsic]
+    # Build the parallelism outside the checks' times; a failed stage keeps
+    # its exception, so each check that reads it still reports it.
+    with suppress(Exception):
+        run.parallelism
     return results + [_timed(check_id, fn) for check_id, fn in intrinsic]

@@ -210,6 +210,56 @@ def star_table(comp):
     return rows
 
 
+def crossing_scan(comp):
+    """Row ``i``: the lines related to ``i``, from every crossing point.
+
+    For each proper point ``p`` and each two lines ``t1``, ``t2`` through it,
+    over the whole line set, every two disjoint lines meeting both away from
+    ``p`` are related.  Each distinct set of such lines is read once.
+    """
+    meets = [_meets(comp, k) for k in range(comp.n_lines)]
+    crossing_sets = set()
+    for p in comp.proper_points:
+        through = comp.lines_at_point(p)
+        crossing = [meets[t] & ~through for t in bits(through)]
+        for a, c1 in enumerate(crossing):
+            for c2 in crossing[a + 1 :]:
+                crossing_sets.add(c1 & c2)
+    rows = [0] * comp.n_lines
+    for c in crossing_sets:
+        for i in bits(c):
+            rows[i] |= c & ~meets[i]
+    return rows
+
+
+def ternary_scan(par):
+    """The ternary-collinear class triples ``(c1, c2, c3)``, ``c1 < c2 < c3``,
+    over the whole line set: mutually related, or with representatives
+    pairwise meeting in three distinct points."""
+    comp = par.comp
+    lm = comp.line_trace
+    meets = [_meets(comp, k) for k in range(comp.n_lines)]
+    masks = par.class_line_mask
+
+    def triangle(c1, c2, c3):
+        for m1 in par.classes[c1]:
+            for m2 in bits(masks[c2] & meets[m1]):
+                z12 = lm[m1] & lm[m2]
+                for m3 in bits(masks[c3] & meets[m1] & meets[m2]):
+                    if not (z12 == (lm[m1] & lm[m3]) == (lm[m2] & lm[m3])):
+                        return True
+        return False
+
+    def related(*cs):
+        return all(class_equiv(par, a, b) for a, b in itertools.combinations(cs, 2))
+
+    return {
+        t
+        for t in itertools.combinations(range(par.n_classes), 3)
+        if related(*t) or triangle(*t)
+    }
+
+
 def plane_path_scan(comp, k, l):
     """Breadth-first plane chain from ``k`` to ``l``, testing every node pair.
 

@@ -278,7 +278,7 @@ def test_run_builds_parallelism_at_most_once(tmp_path, monkeypatch, horizon, tas
     mapping once: two isomorphism checks per reconstructing run.  The only
     incidence structures built are the base space and the reconstruction.
     The complement task reads its horizon geometry without the plane-line
-    table; the battery's plane-chain check reads it."""
+    table; the battery's plane-chain check and the parallelism read it."""
     calls = Counter()
 
     def counting(name, fn):
@@ -291,7 +291,9 @@ def test_run_builds_parallelism_at_most_once(tmp_path, monkeypatch, horizon, tas
     monkeypatch.setattr(
         IncidenceStructure, "__init__", counting("structures", IncidenceStructure.__init__)
     )
-    monkeypatch.setattr(Complement, "plane_lines", counting("plane_lines", Complement.plane_lines))
+    monkeypatch.setattr(
+        Complement, "plane_line_ids", counting("plane_line_ids", Complement.plane_line_ids)
+    )
     counted = (
         reconstruct_module.reconstruct,
         reconstruct_module.canonical_map,
@@ -301,7 +303,7 @@ def test_run_builds_parallelism_at_most_once(tmp_path, monkeypatch, horizon, tas
         _patch_every_binding(monkeypatch, original, counting(original.__name__, original))
     assert run_cli("run", "--form", "q+:5:2", "--horizon", horizon,
                    "--tasks", tasks, "--out", str(tmp_path / "out")) == 0
-    assert (calls.pop("plane_lines", 0) > 0) == ("lemmas" in tasks)
+    assert (calls.pop("plane_line_ids", 0) > 0) == ("lemmas" in tasks)
     assert calls == Counter(
         {"parallelism": builds, "reconstruct": builds, "canonical_map": builds,
          "is_isomorphism": 2 * builds, "structures": 1 + builds}

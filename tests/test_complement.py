@@ -187,11 +187,13 @@ def test_plane_lines_match_scan_oracle(space, spec, request):
     comp = build_complement(ps, _horizon(ps, spec))
     rows = [comp.plane_lines(pi) for pi in range(len(comp.planes()))]
     assert rows == plane_lines_scan(comp)
+    assert [tuple(bits(r)) for r in rows] == list(map(comp.plane_line_ids, range(len(rows))))
     # drop a line that lies in a plane, so the rows lose it
     k = next(bits(next(r for r in rows if r)))
     dropped = drop_proper_line(comp, k)
     rows = [dropped.plane_lines(pi) for pi in range(len(dropped.planes()))]
     assert rows == plane_lines_scan(dropped)
+    assert [tuple(bits(r)) for r in rows] == list(map(dropped.plane_line_ids, range(len(rows))))
 
 
 def test_plane_horizon_sizes_on_a_line_horizon(comp_line):

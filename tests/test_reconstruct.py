@@ -9,6 +9,7 @@ suite.
 """
 
 import copy
+import itertools
 import random
 import types
 
@@ -20,8 +21,10 @@ from polarcomp import (
     Parallelism,
     Run,
     build_complement,
+    build_polar,
     canonical_map,
     drop_proper_line,
+    hermitian_form,
     is_isomorphism,
     resolve_horizon,
 )
@@ -31,10 +34,12 @@ from polarcomp.reconstruct import _related_rows, reconstruct
 from oracles import (
     class_equiv,
     class_reach_scan,
+    crossing_scan,
     lines_prime_scan,
     lines_second_scan,
     star_parallel,
     star_table,
+    ternary_scan,
 )
 
 
@@ -80,11 +85,58 @@ def _matrix_complements(space, spec, request):
 @pytest.mark.parametrize("space", MATRIX_SPACES)
 def test_star_rows_match_pairwise_oracle(space, spec, request):
     for c in _matrix_complements(space, spec, request):
-        assert Parallelism(c).star_rows == star_table(c)
+        rows = star_table(c)
+        assert Parallelism(c).star_rows == rows
+        assert crossing_scan(c) == rows
 
 
 def test_star_rows_match_pairwise_oracle_q53(comp_q53_lperp, par_q53):
     assert par_q53.star_rows == star_table(comp_q53_lperp)
+
+
+def test_star_rows_match_pairwise_oracle_q53_perp(q53):
+    comp = build_complement(q53, q53.structure.adj[0])
+    rows = Parallelism(comp).star_rows
+    assert any(rows)
+    assert rows == star_table(comp)
+
+
+def test_star_rows_match_crossing_scan_sp63(sp63):
+    # the pairwise oracle takes minutes here; the global crossing scan does not
+    comp = build_complement(sp63, sp63.structure.line_masks[0])
+    rows = Parallelism(comp).star_rows
+    assert any(rows)
+    assert rows == crossing_scan(comp)
+
+
+def test_herm54_point_horizon_is_recovered(gf4):
+    ps = build_polar(hermitian_form(5, gf4))
+    comp = build_complement(ps, 1 << 0)
+    run = Run(comp)
+    par = run.parallelism
+    assert par.table() == comp.parallel_table()
+    ok, cert = run.canonical_isomorphism
+    assert ok, cert
+    assert par.star_rows == crossing_scan(comp)
+
+
+def _ternary_triples(par):
+    triples = itertools.combinations(range(par.n_classes), 3)
+    return {t for t in triples if par.ternary_collinear(*t)}
+
+
+@pytest.mark.parametrize("spec", MATRIX_SPECS)
+@pytest.mark.parametrize("space", MATRIX_SPACES)
+def test_ternary_collinear_matches_global_scan(space, spec, request):
+    for c in _matrix_complements(space, spec, request):
+        par = Parallelism(c)
+        assert _ternary_triples(par) == ternary_scan(par)
+
+
+def test_ternary_collinear_matches_global_scan_q53(par_q53):
+    triples = _ternary_triples(par_q53)
+    assert 0 < len(triples) < 1540
+    assert triples == ternary_scan(par_q53)
 
 
 @pytest.mark.parametrize("spec", MATRIX_SPECS)
@@ -208,7 +260,6 @@ def test_related_rows_match_oracle_on_random_reach(par_q53, density):
     par = copy.copy(par_q53)
     par.creach = [mask_of(c for c in range(nc) if rnd.random() < density) for _ in range(nc)]
     par.related = _related_rows(par.creach)
-    par._prime = None
     for c1 in range(nc):
         for c2 in range(nc):
             assert par.equiv(c1, c2) == class_equiv(par, c1, c2)

@@ -6,6 +6,7 @@ import itertools
 import json
 import random
 import sys
+import time
 
 import pytest
 
@@ -333,6 +334,19 @@ def test_battery_reports_a_failing_parallelism(comp_point, monkeypatch):
     with pytest.raises(RuntimeError, match="no crossing relation"):
         run.reconstruction
     assert len(calls) == 1
+
+
+def test_check_times_exclude_the_parallelism_build(comp_point, monkeypatch):
+    build = Parallelism.__init__
+
+    def slow(self, comp):
+        time.sleep(0.3)
+        build(self, comp)
+
+    monkeypatch.setattr(Parallelism, "__init__", slow)
+    results = run_lemma_battery(Run(comp_point), seed=0)
+    assert [r.status for r in results] == ["pass"] * len(BATTERY_IDS)
+    assert max(r.elapsed_ms for r in results) < 300
 
 
 def test_check_result_serialization():
