@@ -10,7 +10,7 @@ sixteen.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 __all__ = [
     "GF",

@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
-from pathlib import Path
 
 from .complement import build_complement, horizon_atoms, resolve_horizon
 from .errors import ConfigurationError, HorizonRefusal, IntegrityError
@@ -81,9 +81,9 @@ def canonical_json(obj) -> str:
 def _emit(payload, out: str | None) -> None:
     text = canonical_json(payload)
     if out:
-        path = Path(out)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, encoding="utf-8")
+        os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text)
     else:
         sys.stdout.write(text)
 
@@ -129,19 +129,19 @@ def _run_single(
     ps: PolarSpace,
     horizon: int,
     tasks: list[str],
-    outdir: Path,
+    outdir: str,
     *,
     seed: int,
     exhaustive: bool,
     timings: bool,
 ) -> int:
     """Run the pipeline for one configuration; returns the failed-check count."""
-    outdir.mkdir(parents=True, exist_ok=True)
+    os.makedirs(outdir, exist_ok=True)
     failed = 0
 
     if "axioms" in tasks:
         report = check_polar_axioms(ps)
-        _emit(report.as_dict(), str(outdir / "axioms.json"))
+        _emit(report.as_dict(), os.path.join(outdir, "axioms.json"))
         if not report.all_ok:
             failed += 1
 
@@ -150,7 +150,7 @@ def _run_single(
     run = Run(build_complement(ps, horizon))
 
     if "complement" in tasks:
-        _emit(_complement_payload(run), str(outdir / "complement.json"))
+        _emit(_complement_payload(run), os.path.join(outdir, "complement.json"))
 
     if "lemmas" in tasks:
         checks = run_lemma_battery(run, seed=seed, exhaustive=exhaustive)
@@ -161,7 +161,7 @@ def _run_single(
                 "checks": [c.as_dict(include_elapsed=timings) for c in checks],
                 "failed": n_bad,
             },
-            str(outdir / "lemma_battery.json"),
+            os.path.join(outdir, "lemma_battery.json"),
         )
 
     if "reconstruct" not in tasks and "verify" not in tasks:
@@ -185,7 +185,7 @@ def _run_single(
         if map_error is not None:
             payload["canonical_map_error"] = map_error
             failed += 1
-        _emit(payload, str(outdir / "reconstruction.json"))
+        _emit(payload, os.path.join(outdir, "reconstruction.json"))
 
     if "verify" in tasks:
         try:
@@ -203,7 +203,7 @@ def _run_single(
         }
         if found is None:
             failed += 1
-        _emit(payload, str(outdir / "verification.json"))
+        _emit(payload, os.path.join(outdir, "verification.json"))
 
     return failed
 
@@ -244,7 +244,7 @@ def cmd_run(args) -> int:
         raise ConfigurationError("run needs --form and --horizon (or --suite)")
     else:
         configs = [(args.form, args.horizon)]
-    out = Path(args.out or ("suite-out" if args.suite else "run-out"))
+    out = args.out or ("suite-out" if args.suite else "run-out")
     spaces: dict[str, PolarSpace] = {}
     failed = 0
     for desc, horizon_spec in configs:
@@ -262,7 +262,7 @@ def cmd_run(args) -> int:
             ps,
             horizon,
             tasks,
-            out / _sanitize(desc) / _sanitize(horizon_spec) if args.suite else out,
+            os.path.join(out, _sanitize(desc), _sanitize(horizon_spec)) if args.suite else out,
             seed=args.seed,
             exhaustive=args.exhaustive,
             timings=args.timings,

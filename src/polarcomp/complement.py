@@ -14,7 +14,7 @@ the complement's own line list.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .errors import HorizonRefusal, LemmaFalsified
 from .incidence import bits, mask_of

@@ -11,7 +11,7 @@ between two structures line by line.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 __all__ = ["bits", "mask_of", "IncidenceStructure", "is_isomorphism"]
 

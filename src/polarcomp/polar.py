@@ -10,8 +10,7 @@ indexed deterministically by the order of :func:`polarcomp.algebra.pg_points`.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 from .algebra import GF, pg_points
 from .errors import ConfigurationError
@@ -38,8 +37,9 @@ MAX_PG_POINTS = 1 << 14
 KINDS = ("symplectic", "parabolic", "hyperbolic", "elliptic", "hermitian")
 QUADRATIC_KINDS = ("parabolic", "hyperbolic", "elliptic")
 
+Matrix = tuple[tuple[int, ...], ...]  # a square matrix over the field, row by row
 
-@dataclass(frozen=True)
+
 class FormSpec:
     """A reflexive form on ``field ** dim`` given by Gram data.
 
@@ -48,16 +48,15 @@ class FormSpec:
     ``quad`` is None and ``gram`` is the (sesqui)linear Gram matrix.
     """
 
-    kind: str
-    field: GF
-    dim: int
-    gram: tuple[tuple[int, ...], ...]
-    quad: tuple[tuple[int, ...], ...] | None = None
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ConfigurationError(f"unknown form kind {self.kind!r}")
-        _check_dim(self.dim)
+    def __init__(self, kind: str, field: GF, dim: int, gram: Matrix, quad: Matrix | None = None):
+        if kind not in KINDS:
+            raise ConfigurationError(f"unknown form kind {kind!r}")
+        _check_dim(dim)
+        self.kind = kind
+        self.field = field
+        self.dim = dim
+        self.gram = gram
+        self.quad = quad
 
     def quad_value(self, v: Sequence[int]) -> int:
         if self.quad is None:
@@ -114,7 +113,7 @@ def _zero_matrix(dim: int) -> list[list[int]]:
     return [[0] * dim for _ in range(dim)]
 
 
-def _polarize(field: GF, quad: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+def _polarize(field: GF, quad: Sequence[Sequence[int]]) -> Matrix:
     n = len(quad)
     g = _zero_matrix(n)
     for i in range(n):
@@ -380,29 +379,29 @@ def build_polar(form: FormSpec) -> PolarSpace:
     return ps
 
 
-@dataclass
 class AxiomReport:
-    partial_linear: bool
-    thick: bool
-    nondegenerate: bool
-    one_or_all: bool
-    rank: int
-    witnesses: dict
+    def __init__(
+        self,
+        partial_linear: bool,
+        thick: bool,
+        nondegenerate: bool,
+        one_or_all: bool,
+        rank: int,
+        witnesses: dict,
+    ):
+        self.partial_linear = partial_linear
+        self.thick = thick
+        self.nondegenerate = nondegenerate
+        self.one_or_all = one_or_all
+        self.rank = rank
+        self.witnesses = witnesses
 
     @property
     def all_ok(self) -> bool:
         return self.partial_linear and self.thick and self.nondegenerate and self.one_or_all
 
     def as_dict(self) -> dict:
-        return {
-            "partial_linear": self.partial_linear,
-            "thick": self.thick,
-            "nondegenerate": self.nondegenerate,
-            "one_or_all": self.one_or_all,
-            "rank": self.rank,
-            "all_ok": self.all_ok,
-            "witnesses": self.witnesses,
-        }
+        return {**vars(self), "all_ok": self.all_ok}
 
 
 def _partial_linear_witness(

@@ -21,7 +21,6 @@ on first use and kept.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, product
 
 from .complement import Complement
@@ -196,14 +195,20 @@ class Parallelism:
         return False
 
 
-@dataclass
 class ReconstructedStructure:
     """The rebuilt ambient space with its tagged line families."""
 
-    structure: IncidenceStructure
-    n_proper: int
-    families: dict[str, list[tuple[int, ...]]]
-    parallelism: Parallelism
+    def __init__(
+        self,
+        structure: IncidenceStructure,
+        n_proper: int,
+        families: dict[str, list[tuple[int, ...]]],
+        parallelism: Parallelism,
+    ):
+        self.structure = structure
+        self.n_proper = n_proper
+        self.families = families
+        self.parallelism = parallelism
 
 
 def reconstruct(par: Parallelism) -> ReconstructedStructure:

@@ -11,8 +11,6 @@ import itertools
 import random
 import time
 from collections import Counter
-from contextlib import suppress
-from dataclasses import dataclass
 from functools import cache
 
 from .complement import Complement
@@ -31,12 +29,14 @@ CLASS_LIMIT = 40
 TRIPLE_CAP = 2000
 
 
-@dataclass
 class CheckResult:
-    check_id: str
-    status: str  # pass | fail | skip
-    witness: dict | None = None
-    elapsed_ms: float = 0.0
+    def __init__(
+        self, check_id: str, status: str, witness: dict | None = None, elapsed_ms: float = 0.0
+    ):
+        self.check_id = check_id
+        self.status = status  # pass | fail | skip
+        self.witness = witness
+        self.elapsed_ms = elapsed_ms
 
     def as_dict(self, include_elapsed: bool = False) -> dict:
         out: dict = {"check_id": self.check_id, "status": self.status}
@@ -51,37 +51,24 @@ class CheckResult:
 
 
 def _joint_colors(a: IncidenceStructure, b: IncidenceStructure) -> tuple[list[int], list[int]]:
-    """Iterated refinement of point colors, shared across both structures."""
+    """Iterated refinement of point colors, shared across both structures.
 
-    def initial(st: IncidenceStructure, table: dict) -> list[int]:
-        out = []
-        for p in range(st.n_points):
-            key = tuple(sorted(len(st.lines[i]) for i in st.lines_at(p)))
-            out.append(table.setdefault(key, len(table)))
-        return out
+    It starts from one color, so the first round separates points by the
+    sizes of their lines; each line's color profile is read once per round.
+    """
 
-    table: dict = {}
-    ca = initial(a, table)
-    cb = initial(b, table)
-    n_colors = len(table)
+    def refine(st: IncidenceStructure, colors: list[int], table: dict) -> list[int]:
+        profile = [tuple(sorted(colors[x] for x in line)) for line in st.lines]
+        sigs = (tuple(sorted(profile[i] for i in st.lines_at(p))) for p in range(st.n_points))
+        return [table.setdefault((c, sig), len(table)) for c, sig in zip(colors, sigs)]
+
+    ca, cb, n_colors = [0] * a.n_points, [0] * b.n_points, 1
     while True:
-        sig_table: dict = {}
-
-        def next_colors(st: IncidenceStructure, colors: list[int]) -> list[int]:
-            out = []
-            for p in range(st.n_points):
-                profiles = sorted(
-                    tuple(sorted(colors[x] for x in st.lines[i])) for i in st.lines_at(p)
-                )
-                key = (colors[p], tuple(profiles))
-                out.append(sig_table.setdefault(key, len(sig_table)))
-            return out
-
-        na = next_colors(a, ca)
-        nb = next_colors(b, cb)
-        if len(sig_table) == n_colors:
+        table: dict = {}
+        na, nb = refine(a, ca, table), refine(b, cb, table)
+        if len(table) == n_colors:
             return na, nb
-        n_colors = len(sig_table)
+        n_colors = len(table)
         ca, cb = na, nb
 
 
@@ -92,17 +79,14 @@ def find_isomorphism(a: IncidenceStructure, b: IncidenceStructure) -> dict[int, 
     mapping validated by :func:`is_isomorphism`, or None when the search
     space is exhausted.
     """
-    if a.n_points != b.n_points or len(a.lines) != len(b.lines):
-        return None
-    if sorted(len(l) for l in a.lines) != sorted(len(l) for l in b.lines):
-        return None
     ca, cb = _joint_colors(a, b)
-    if Counter(ca) != Counter(cb):
+    class_size = Counter(cb)
+    if Counter(ca) != class_size:  # also when point or line counts differ
         return None
 
-    by_color: dict[int, list[int]] = {}
+    color_mask: dict[int, int] = {}
     for v in range(b.n_points):
-        by_color.setdefault(cb[v], []).append(v)
+        color_mask[cb[v]] = color_mask.get(cb[v], 0) | 1 << v
 
     # Static assignment order: most-constrained first, preferring points
     # attached to already-ordered ones.
@@ -110,7 +94,7 @@ def find_isomorphism(a: IncidenceStructure, b: IncidenceStructure) -> dict[int, 
     unplaced = set(range(a.n_points))
     order: list[int] = []
     for _ in range(a.n_points):
-        best = min(unplaced, key=lambda p: (-attached[p], len(by_color[ca[p]]), p))
+        best = min(unplaced, key=lambda p: (-attached[p], class_size[ca[p]], p))
         order.append(best)
         unplaced.discard(best)
         for q in bits(a.adj[best]):
@@ -122,35 +106,45 @@ def find_isomorphism(a: IncidenceStructure, b: IncidenceStructure) -> dict[int, 
     for i, line in enumerate(a.lines):
         trigger[max(line, key=pos.__getitem__)].append(i)
     b_lines = set(b.lines)
+    b_line_ids = [mask_of(b.lines_at(v)) for v in range(b.n_points)]  # as bitmasks
 
-    # Depth-first over candidates in id order, on an explicit stack: cursor[d]
-    # is the next candidate index for order[d], image[p] its current choice.
+    # Depth-first over candidates in id order, on an explicit stack: left[d]
+    # holds the candidates of order[d] not tried yet, image[p] its choice.
     image = [-1] * a.n_points
     used_mask = 0
-    cursor = [0] * a.n_points
+    left = [0] * a.n_points
     depth = 0
     while 0 <= depth < a.n_points:
         p = order[depth]
         if image[p] >= 0:  # back from a dead end below: undo the choice
             used_mask ^= 1 << image[p]
             image[p] = -1
+        else:  # a fresh visit: p's unused color mates; the first line of a on p
+            # and two placed points forces p onto a line of b through their images
+            cands = color_mask[ca[p]] & ~used_mask
+            for li in a.lines_at(p):
+                placed = [image[x] for x in a.lines[li] if image[x] >= 0]
+                if len(placed) >= 2:
+                    on_xy = b_line_ids[placed[0]] & b_line_ids[placed[1]]
+                    cands &= mask_of(v for m in bits(on_xy) for v in b.lines[m])
+                    break
+            left[depth] = cands
         # Images of p's already-placed neighbours; a candidate must be
         # adjacent to exactly these among the used images.
         want = mask_of(image[q] for q in bits(a.adj[p]) if image[q] >= 0)
-        cands = by_color[ca[p]]
-        while cursor[depth] < len(cands):
-            v = cands[cursor[depth]]
-            cursor[depth] += 1
-            if (used_mask >> v) & 1 or b.adj[v] & used_mask != want:
+        while left[depth]:
+            low = left[depth] & -left[depth]
+            left[depth] ^= low
+            v = low.bit_length() - 1
+            if b.adj[v] & used_mask != want:
                 continue
             image[p] = v
             if all(tuple(sorted(image[x] for x in a.lines[li])) in b_lines for li in trigger[p]):
-                used_mask |= 1 << v
+                used_mask |= low
                 depth += 1
                 break
             image[p] = -1
         else:
-            cursor[depth] = 0
             depth -= 1
 
     if depth < 0:
@@ -467,6 +461,8 @@ def run_lemma_battery(run: Run, *, seed: int = 0, exhaustive: bool = False) -> l
         return results + [CheckResult(check_id, "skip", {"reason": reason}) for check_id, _ in intrinsic]
     # Build the parallelism outside the checks' times; a failed stage keeps
     # its exception, so each check that reads it still reports it.
-    with suppress(Exception):
+    try:
         run.parallelism
+    except Exception:
+        pass
     return results + [_timed(check_id, fn) for check_id, fn in intrinsic]

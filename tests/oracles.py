@@ -5,9 +5,11 @@ spaces; the tests use them only as oracles.
 """
 
 import itertools
+from collections import Counter
 
 from polarcomp.algebra import _poly_mod, _poly_trim, normalize_point, pg_line, pg_points
-from polarcomp.incidence import bits, mask_of
+from polarcomp.incidence import bits, is_isomorphism, mask_of
+from polarcomp.verify import _joint_colors
 
 
 def is_irreducible(modulus, p):
@@ -342,3 +344,40 @@ def lines_second_scan(par):
         if len(group) > 1 and group not in out:
             out.append(group)
     return out
+
+
+def unforced_isomorphism(a, b):
+    """:func:`find_isomorphism` without line forcing: the same colors, static
+    order and ascending candidates, pruned only by adjacency to the placed
+    points and by the lines whose points are all placed."""
+    ca, cb = _joint_colors(a, b)
+    size = Counter(cb)
+    if Counter(ca) != size:
+        return None
+    attached, order, unplaced = [0] * a.n_points, [], set(range(a.n_points))
+    while unplaced:
+        best = min(unplaced, key=lambda p: (-attached[p], size[ca[p]], p))
+        order.append(best)
+        unplaced.discard(best)
+        for q in bits(a.adj[best]):
+            attached[q] += 1
+    image, b_lines = {}, set(b.lines)
+
+    def extend(d):
+        if d == len(order):
+            return True
+        p = order[d]
+        for v in range(b.n_points):
+            if cb[v] != ca[p] or v in image.values():
+                continue
+            if any(b.collinear(v, image[q]) != a.collinear(p, q) for q in image):
+                continue
+            image[p] = v
+            full = [li for li in a.lines_at(p) if all(x in image for x in a.lines[li])]
+            if all(tuple(sorted(image[x] for x in a.lines[li])) in b_lines for li in full):
+                if extend(d + 1):
+                    return True
+            del image[p]
+        return False
+
+    return image if extend(0) and is_isomorphism(a, b, image)[0] else None

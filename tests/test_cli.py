@@ -2,10 +2,13 @@
 
 import hashlib
 import json
+import os
+import subprocess
 import sys
 import time
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +21,9 @@ from polarcomp.cli import main
 from polarcomp.complement import Complement, resolve_horizon
 from polarcomp.incidence import IncidenceStructure
 from polarcomp.reconstruct import Parallelism
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(*argv):
@@ -441,14 +447,22 @@ def test_horizons_rejects_unknown_kind():
         run_cli("horizons", "--form", "sp:6:2", "--kind", "wombats")
 
 
-def test_module_entry_point():
-    import subprocess
-    import sys
+def test_cli_import_stays_lean():
+    # -S: the site preloads of a full interpreter would hide a regression.
+    probe = "import sys; sys.path.insert(0, sys.argv[1]); import polarcomp.cli; print(*sys.modules)"
+    argv = [sys.executable, "-I", "-S", "-c", probe, str(SRC)]
+    proc = subprocess.run(argv, capture_output=True, text=True, check=True)
+    loaded = set(proc.stdout.split())
+    assert "polarcomp.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "typing", "pathlib", "contextlib"}
 
+
+def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "polarcomp", "build", "--form", "q+:5:2"],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["n_points"] == 35

@@ -24,7 +24,7 @@ from polarcomp import (
 from polarcomp.incidence import bits, mask_of
 from polarcomp.reconstruct import _related_rows, reconstruct
 from polarcomp.verify import CheckResult
-from oracles import class_equiv, fibration_mismatch, partial_linear_scan
+from oracles import class_equiv, fibration_mismatch, partial_linear_scan, unforced_isomorphism
 
 BATTERY_IDS = [
     "partial_linear",
@@ -151,6 +151,28 @@ def test_find_isomorphism_is_not_bounded_by_recursion(sp62, par_point):
     # the mapping the depth-first search has always returned here
     digest = hashlib.sha256(json.dumps(sorted(m.items())).encode()).hexdigest()
     assert digest == "c2733333361857a6c034c790f826acb7766fe1c41fa099b5d2df7e1aade13147"
+
+
+def test_find_isomorphism_is_fast_in_either_order(q53, par_q53):
+    # Placing a point onto the line through two placed images keeps the
+    # reconstruction-first order fast too; without it that order took seconds.
+    recon = reconstruct(par_q53).structure
+    for a, b in ((q53.structure, recon), (recon, q53.structure)):
+        t0 = time.perf_counter()
+        m = find_isomorphism(a, b)
+        assert time.perf_counter() - t0 < 1
+        assert m is not None and is_isomorphism(a, b, m)[0]
+
+
+def test_forcing_keeps_the_first_mapping(sp62, q52, q62, q53, par_point, par_line, par_q53):
+    pairs = [(sp62.structure, q62.structure), (q52.structure, relabel(q52.structure, 3)[1])]
+    for ps, par in ((sp62, par_point), (sp62, par_line), (q53, par_q53)):
+        recon = reconstruct(par).structure
+        pairs += [(ps.structure, recon), (recon, ps.structure)]
+    pairs.pop()  # the unforced search takes seconds on the last one
+    for a, b in pairs:
+        m = find_isomorphism(a, b)
+        assert m is not None and m == unforced_isomorphism(a, b)
 
 
 # ---------------------------------------------------------------------------
