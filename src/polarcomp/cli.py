@@ -13,8 +13,8 @@ use the mini-language of :func:`polarcomp.complement.resolve_horizon`.
 
 All JSON output is canonical: sorted keys, two-space indent, LF endings.
 Exit codes: 0 all good, 1 internal error (one line, or a traceback under
-``--debug``), 2 configuration error, 3 horizon refusal, 10+N when N checks
-failed.
+``--debug``), 2 configuration error or an ``--out`` path that cannot be
+written, 3 horizon refusal, 10+N when N checks failed.
 """
 
 from __future__ import annotations
@@ -349,6 +349,9 @@ def main(argv=None) -> int:
     except HorizonRefusal as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:  # the only files touched are the outputs
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 2
     except Exception as exc:
         if args.debug:
             import traceback  # only here: it adds to every run's import time

@@ -125,8 +125,9 @@ class Complement:
             self._planes = [m for m in self.base.singular_planes() if m & self.proper_mask]
         return self._planes
 
-    def plane_line_ids(self, pi: int) -> tuple[int, ...]:
-        """Ascending proper line ids whose trace lies inside plane ``pi``."""
+    def plane_lines(self, pi: int) -> tuple[int, ...]:
+        """Ascending proper line ids whose trace lies inside plane ``pi``: the
+        base space's plane lines relabelled, horizon and deleted lines dropped."""
         if self._plane_ids is None:
             proper_id = {b: k for k, b in enumerate(self.line_closure)}
             base = self.base
@@ -136,10 +137,6 @@ class Complement:
                 if plane & self.proper_mask
             ]
         return self._plane_ids[pi]
-
-    def plane_lines(self, pi: int) -> int:
-        """Bitmask of the proper line ids of :meth:`plane_line_ids`."""
-        return mask_of(self.plane_line_ids(pi))
 
     def semiaffine_planes(self) -> list[int]:
         """Ids of the planes that meet the horizon."""
@@ -193,7 +190,7 @@ class Complement:
             line_planes = [0] * self.n_lines
             at_infinity: dict[int, int] = {}
             for pi, plane in enumerate(self.planes()):
-                for j in self.plane_line_ids(pi):
+                for j in self.plane_lines(pi):
                     line_planes[j] |= 1 << pi
                 for d in bits(plane & self.horizon):
                     at_infinity[d] = at_infinity.get(d, 0) | (1 << pi)
@@ -211,7 +208,7 @@ class Complement:
                     path.append(parent[path[-1]])  # type: ignore[arg-type]
                 return path[::-1]
             step = 0
-            for j in self.plane_line_ids(pi):
+            for j in self.plane_lines(pi):
                 step |= line_planes[j]
             step &= nodes & ~seen
             seen |= step

@@ -264,7 +264,9 @@ def compute_rank(st: IncidenceStructure) -> int:
 def _plane_lines(st: IncidenceStructure) -> dict[int, tuple[int, ...]]:
     """Each singular plane's mask with its ascending line ids, each plane built
     once: from the first line in it, through the points of that line's perp
-    that no plane found through the line covers (such planes meet only in it)."""
+    that no plane found through the line covers (such planes meet only in it).
+    That line holds the plane's two least points, and the planes on one line
+    follow their least points off it, so the keys are in lexicographic order."""
     covered = list(st.line_masks)
     found = {}
     for li, lm in enumerate(st.line_masks):
@@ -317,7 +319,8 @@ class PolarSpace:
         if not pts:
             raise ConfigurationError("the form admits no singular points")
         # joined[i]: points already on a found line through point i, so each
-        # line is built once, from its first orthogonal pair.
+        # line is built once, from its first orthogonal pair: its two least
+        # points, so the lines come out in lexicographic order.
         joined = [1 << i for i in range(len(pts))]
         lines = []
         perps = list(_sections(field, pts, (form.perp_covector(p) for p in pts)))
@@ -330,7 +333,7 @@ class PolarSpace:
                     joined[p] |= m
                 lines.append(tuple(bits(m)))
                 rest &= ~m
-        st = IncidenceStructure(len(pts), sorted(lines))
+        st = IncidenceStructure(len(pts), lines)
         for p in range(st.n_points):
             if st.adj[p] == st.full_mask:
                 raise ConfigurationError(
@@ -339,11 +342,12 @@ class PolarSpace:
         return cls(form, pts, st, compute_rank(st))
 
     def singular_planes(self) -> list[int]:
-        """Masks of all singular planes, empty when the rank is below 3."""
+        """Masks of all singular planes in lexicographic point order, empty
+        when the rank is below 3."""
         if self._planes is None:
             found = _plane_lines(self.structure) if self.rank >= 3 else {}
-            self._planes = sorted(found, key=lambda m: tuple(bits(m)))
-            self._plane_lines = [found[m] for m in self._planes]
+            self._planes = list(found)
+            self._plane_lines = list(found.values())
         return self._planes
 
     def singular_plane_lines(self) -> list[tuple[int, ...]]:

@@ -36,16 +36,6 @@ __all__ = [
 ]
 
 
-def _related_rows(creach: list[int]) -> list[int]:
-    """Row ``c``: the classes ``c2 != c`` where neither class reaches the other."""
-    reached_by = [0] * len(creach)
-    for c, row in enumerate(creach):
-        for c2 in bits(row):
-            reached_by[c2] |= 1 << c
-    full = (1 << len(creach)) - 1
-    return [full & ~(row | reached_by[c] | 1 << c) for c, row in enumerate(creach)]
-
-
 class Parallelism:
     """All intrinsic relations of a complement, precomputed as bit tables.
 
@@ -63,7 +53,7 @@ class Parallelism:
         lm = comp.line_trace
         star, whole = [0] * comp.n_lines, comp.base.form.field.q + 1
         for pi in range(len(comp.planes())):
-            ids = comp.plane_line_ids(pi)
+            ids = comp.plane_lines(pi)
             # Coplanar lines meet in the base: a plane of whole lines has no disjoint pair.
             if all(lm[k].bit_count() == whole for k in ids):
                 continue
@@ -108,14 +98,16 @@ class Parallelism:
         self.class_line_mask = masks
         self.n_classes = len(masks)
 
-        # creach[c]: the classes having a member through a point of class c.
+        # creach[c]: the classes having a member through a point of class c,
+        # a symmetric and reflexive relation; related[c] is its complement.
         class_points = [mask_of(p for k in cls for p in bits(lm[k])) for cls in self.classes]
         self.creach = [mask_of(c for c, b in enumerate(class_points) if a & b) for a in class_points]
-        self.related = _related_rows(self.creach)
+        full = (1 << self.n_classes) - 1
+        self.related = [full & ~row for row in self.creach]
 
         # The classes with a member in each plane; the planes of each class.
         self.plane_classes = [
-            mask_of(cid[k] for k in comp.plane_line_ids(pi) if k in cid)
+            mask_of(cid[k] for k in comp.plane_lines(pi) if k in cid)
             for pi in range(len(comp.planes()))
         ]
         self.class_planes = [0] * self.n_classes
@@ -187,7 +179,7 @@ class Parallelism:
             return True
         lm, cid, cp = self.comp.line_trace, self.class_id, self.class_planes
         for pi in bits(cp[c1] & cp[c2] & cp[c3]):
-            ids = self.comp.plane_line_ids(pi)
+            ids = self.comp.plane_lines(pi)
             for m1, m2, m3 in product(*([k for k in ids if cid.get(k) == c] for c in (c1, c2, c3))):
                 z = {lm[m1] & lm[m2], lm[m1] & lm[m3], lm[m2] & lm[m3]}
                 if 0 not in z and len(z) == 3:
@@ -215,7 +207,8 @@ def reconstruct(par: Parallelism) -> ReconstructedStructure:
     """Assemble proper points plus directions into a copy of the base space.
 
     Proper lines are extended by their direction when affine; the two new
-    line families contribute the horizon lines.
+    line families contribute the horizon lines.  Local point ids follow the
+    base ids and class points follow them, so every line comes out ascending.
     """
     comp = par.comp
     n_proper = len(comp.proper_points)
@@ -225,7 +218,7 @@ def reconstruct(par: Parallelism) -> ReconstructedStructure:
         pts = [comp.local_index[p] for p in bits(trace)]
         if par.is_affine(k):
             pts.append(n_proper + par.class_id[k])
-        extended.append(tuple(sorted(pts)))
+        extended.append(tuple(pts))
     prime = [tuple(n_proper + c for c in group) for group in par.lines_prime()]
     second = [tuple(n_proper + c for c in group) for group in par.lines_second()]
 

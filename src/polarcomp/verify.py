@@ -263,12 +263,12 @@ def run_lemma_battery(run: Run, *, seed: int = 0, exhaustive: bool = False) -> l
             for pi in path:
                 if not (comp.planes()[pi] >> a) & 1:
                     return {"lines": [k, l], "plane": pi, "reason": "plane misses the infinity"}
-            if k not in comp.plane_line_ids(path[0]):
+            if k not in comp.plane_lines(path[0]):
                 return {"lines": [k, l], "reason": "first plane misses the first line"}
-            if l not in comp.plane_line_ids(path[-1]):
+            if l not in comp.plane_lines(path[-1]):
                 return {"lines": [k, l], "reason": "last plane misses the second line"}
             for pi, pj in zip(path, path[1:]):
-                if set(comp.plane_line_ids(pi)).isdisjoint(comp.plane_line_ids(pj)):
+                if set(comp.plane_lines(pi)).isdisjoint(comp.plane_lines(pj)):
                     return {"lines": [k, l], "planes": [pi, pj], "reason": "no shared line"}
         return None
 

@@ -150,7 +150,7 @@ def realized_deep_points(comp):
 
 def affine_plane_horizon(comp, pi):
     """Points at infinity realized by the affine lines inside plane ``pi``."""
-    lines = bits(comp.plane_lines(pi))
+    lines = comp.plane_lines(pi)
     return mask_of(comp.point_at_infinity(k) for k in lines if comp.is_affine(k))
 
 
@@ -269,7 +269,7 @@ def plane_path_scan(comp, k, l):
     order; None when no chain exists.
     """
     a = comp.point_at_infinity(k)
-    rows = [comp.plane_lines(pi) for pi in range(len(comp.planes()))]
+    rows = [mask_of(comp.plane_lines(pi)) for pi in range(len(comp.planes()))]
     nodes = [pi for pi, plane in enumerate(comp.planes()) if (plane >> a) & 1]
     parent = {pi: None for pi in nodes if (rows[pi] >> k) & 1}
     queue = list(parent)
@@ -306,6 +306,17 @@ def class_equiv(par, c1, c2):
     return not ((par.creach[c1] >> c2) & 1 or (par.creach[c2] >> c1) & 1)
 
 
+def random_reach(n, density, rnd):
+    """Random class reach rows of the shape real ones have: symmetric and
+    reflexive, each off-diagonal pair reaching with probability ``density``."""
+    rows = [1 << c for c in range(n)]
+    for c1, c2 in itertools.combinations(range(n), 2):
+        if rnd.random() < density:
+            rows[c1] |= 1 << c2
+            rows[c2] |= 1 << c1
+    return rows
+
+
 def lines_prime_scan(par):
     """For each related pair ``c1 < c2``, every class equal or related to both;
     each set once, in first-seen order."""
@@ -339,7 +350,7 @@ def lines_second_scan(par):
     comp = par.comp
     out = []
     for pi in comp.semiaffine_planes():
-        lines = bits(comp.plane_lines(pi))
+        lines = comp.plane_lines(pi)
         group = tuple(sorted({par.class_id[k] for k in lines if par.is_affine(k)}))
         if len(group) > 1 and group not in out:
             out.append(group)

@@ -22,7 +22,7 @@ from polarcomp import (
     run_lemma_battery,
 )
 from polarcomp.cli import main as cli_main
-from polarcomp.incidence import bits
+from polarcomp.incidence import bits, mask_of
 from polarcomp.reconstruct import reconstruct
 
 
@@ -141,7 +141,7 @@ def test_criterion_05_plane_chains(suite_configs):
             except Exception as exc:
                 problems.append((desc, label, k, l, repr(exc)))
                 continue
-            masks = [comp.plane_lines(pi) for pi in path]
+            masks = [mask_of(comp.plane_lines(pi)) for pi in path]
             good = (path
                     and (masks[0] >> k) & 1
                     and (masks[-1] >> l) & 1

@@ -103,6 +103,23 @@ def test_build_rejects_bad_descriptors(desc, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv, out",
+    [
+        (["build", "--form", "sp:6:2"], "dir"),
+        (["run", "--form", "sp:6:2", "--horizon", "point 0"], "file"),
+        (["run", "--form", "sp:6:2", "--horizon", "point 0"], "file/sub"),
+        (["horizons", "--form", "sp:6:2"], "file/x.json"),
+    ],
+)
+def test_unwritable_out_is_a_configuration_error(argv, out, tmp_path, capsys):
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "file").write_text("")
+    assert run_cli(*argv, "--out", str(tmp_path / out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write output: [Errno") and err.count("\n") == 1
+
+
 def test_oversized_dimension_is_rejected_before_any_matrix(capsys):
     tracemalloc.start()
     try:
@@ -297,9 +314,7 @@ def test_run_builds_parallelism_at_most_once(tmp_path, monkeypatch, horizon, tas
     monkeypatch.setattr(
         IncidenceStructure, "__init__", counting("structures", IncidenceStructure.__init__)
     )
-    monkeypatch.setattr(
-        Complement, "plane_line_ids", counting("plane_line_ids", Complement.plane_line_ids)
-    )
+    monkeypatch.setattr(Complement, "plane_lines", counting("plane_lines", Complement.plane_lines))
     counted = (
         reconstruct_module.reconstruct,
         reconstruct_module.canonical_map,
@@ -309,7 +324,7 @@ def test_run_builds_parallelism_at_most_once(tmp_path, monkeypatch, horizon, tas
         _patch_every_binding(monkeypatch, original, counting(original.__name__, original))
     assert run_cli("run", "--form", "q+:5:2", "--horizon", horizon,
                    "--tasks", tasks, "--out", str(tmp_path / "out")) == 0
-    assert (calls.pop("plane_line_ids", 0) > 0) == ("lemmas" in tasks)
+    assert (calls.pop("plane_lines", 0) > 0) == ("lemmas" in tasks)
     assert calls == Counter(
         {"parallelism": builds, "reconstruct": builds, "canonical_map": builds,
          "is_isomorphism": 2 * builds, "structures": 1 + builds}

@@ -123,6 +123,9 @@ def test_singular_planes_of_larger_spaces(desc, q, n_planes):
     assert len(planes) == n_planes
     assert len(set(planes)) == n_planes
     assert all(_is_singular_plane(ps.structure, m, q) for m in planes)
+    # both walks emit in lexicographic point order
+    assert [tuple(bits(m)) for m in planes] == sorted(tuple(bits(m)) for m in planes)
+    assert ps.structure.lines == sorted(ps.structure.lines)
 
 
 @pytest.mark.parametrize("desc", ["sp:6:2", "q+:5:3", "q-:7:2", "sp:6:3"])

@@ -28,8 +28,8 @@ from polarcomp import (
     is_isomorphism,
     resolve_horizon,
 )
-from polarcomp.incidence import bits, mask_of
-from polarcomp.reconstruct import _related_rows, reconstruct
+from polarcomp.incidence import bits
+from polarcomp.reconstruct import reconstruct
 
 from oracles import (
     class_equiv,
@@ -37,6 +37,7 @@ from oracles import (
     crossing_scan,
     lines_prime_scan,
     lines_second_scan,
+    random_reach,
     star_parallel,
     star_table,
     ternary_scan,
@@ -241,7 +242,12 @@ def test_related_rows_match_oracle(space, spec, request):
     for c in (comp, drop_proper_line(comp, 0)):
         par = Parallelism(c)
         nc = par.n_classes
+        full = (1 << nc) - 1
         assert len(par.related) == nc
+        for c1, row in enumerate(par.creach):  # symmetric and reflexive
+            assert row >> nc == 0 and (row >> c1) & 1
+            assert all((par.creach[c2] >> c1) & 1 for c2 in bits(row))
+            assert par.related[c1] == full & ~row
         for c1, row in enumerate(par.related):
             assert row >> nc == 0 and not (row >> c1) & 1  # irreflexive
             for c2 in range(nc):
@@ -253,13 +259,13 @@ def test_related_rows_match_oracle(space, spec, request):
 
 @pytest.mark.parametrize("density", [0.05, 0.2, 0.5])
 def test_related_rows_match_oracle_on_random_reach(par_q53, density):
-    # Reach rows of real complements are symmetric and their related classes
-    # form cliques; random rows are neither.
-    rnd = random.Random(density)
+    # Reach rows of real complements are symmetric and reflexive, and so are
+    # these random ones; their related classes, unlike real ones, need not
+    # form cliques.
     nc = par_q53.n_classes
     par = copy.copy(par_q53)
-    par.creach = [mask_of(c for c in range(nc) if rnd.random() < density) for _ in range(nc)]
-    par.related = _related_rows(par.creach)
+    par.creach = random_reach(nc, density, random.Random(density))
+    par.related = [((1 << nc) - 1) & ~row for row in par.creach]
     for c1 in range(nc):
         for c2 in range(nc):
             assert par.equiv(c1, c2) == class_equiv(par, c1, c2)
@@ -406,6 +412,9 @@ def test_q53_reconstruction_counts(par_q53, q53):
     recon = reconstruct(par_q53)
     assert recon.structure.n_points == 130
     assert len(recon.structure.lines) == 495 + 1 + 24
+    # every line is built ascending: class points follow the proper points
+    for lines in recon.families.values():
+        assert all(a < b for line in lines for a, b in zip(line, line[1:]))
     ok, cert = is_isomorphism(recon.structure, q53.structure, canonical_map(recon))
     assert ok, cert
 

@@ -21,10 +21,16 @@ from polarcomp import (
     Run,
     run_lemma_battery,
 )
-from polarcomp.incidence import bits, mask_of
-from polarcomp.reconstruct import _related_rows, reconstruct
+from polarcomp.incidence import bits
+from polarcomp.reconstruct import reconstruct
 from polarcomp.verify import CheckResult
-from oracles import class_equiv, fibration_mismatch, partial_linear_scan, unforced_isomorphism
+from oracles import (
+    class_equiv,
+    fibration_mismatch,
+    partial_linear_scan,
+    random_reach,
+    unforced_isomorphism,
+)
 
 BATTERY_IDS = [
     "partial_linear",
@@ -283,13 +289,13 @@ def test_partial_linear_witness_matches_local_structure(fixture, request):
 
 
 def test_equiv_triples_walk_matches_oracle(comp_q53_lperp, par_q53):
-    """Over random reach rows the check reports the first mutually related
-    triple, in lexicographic order, whose directions are not collinear."""
-    rnd = random.Random(1)
+    """Over random reach rows, symmetric and reflexive as real ones are, the
+    check reports the first mutually related triple, in lexicographic order,
+    whose directions are not collinear."""
     nc = par_q53.n_classes
     par = copy.copy(par_q53)
-    par.creach = [mask_of(c for c in range(nc) if rnd.random() < 0.3) for _ in range(nc)]
-    par.related = _related_rows(par.creach)
+    par.creach = random_reach(nc, 0.3, random.Random(1))
+    par.related = [((1 << nc) - 1) & ~row for row in par.creach]
 
     class TamperedRun(Run):
         parallelism = par
