@@ -131,8 +131,6 @@ def _run_single(
     tasks: list[str],
     outdir: str,
     *,
-    seed: int,
-    exhaustive: bool,
     timings: bool,
 ) -> int:
     """Run the pipeline for one configuration; returns the failed-check count."""
@@ -153,7 +151,7 @@ def _run_single(
         _emit(_complement_payload(run), os.path.join(outdir, "complement.json"))
 
     if "lemmas" in tasks:
-        checks = run_lemma_battery(run, seed=seed, exhaustive=exhaustive)
+        checks = run_lemma_battery(run)
         n_bad = sum(1 for c in checks if c.status == "fail")
         failed += n_bad
         _emit(
@@ -263,8 +261,6 @@ def cmd_run(args) -> int:
             horizon,
             tasks,
             os.path.join(out, _sanitize(desc), _sanitize(horizon_spec)) if args.suite else out,
-            seed=args.seed,
-            exhaustive=args.exhaustive,
             timings=args.timings,
         )
     return 0 if failed == 0 else 10 + failed
@@ -315,9 +311,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help=f"comma list from {{{','.join(DEFAULT_TASKS)}}}",
     )
     p_run.add_argument("--out", default=None, help="output directory")
-    p_run.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
     p_run.add_argument(
-        "--exhaustive", action="store_true", help="full pair/triple enumeration"
+        "--seed", type=int, default=0, help="has no effect: the battery checks every case"
     )
     p_run.add_argument(
         "--timings", action="store_true", help="include elapsed times in reports"

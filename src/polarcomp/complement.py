@@ -50,7 +50,7 @@ class Complement:
         self.proper_mask = st.full_mask & ~horizon
         self.proper_points = list(bits(self.proper_mask))
         self.local_index = {b: i for i, b in enumerate(self.proper_points)}
-        self._line_ids = list(range(len(st.lines))) if line_ids is None else sorted(line_ids)
+        self._line_ids = list(range(len(st.lines))) if line_ids is None else line_ids
 
         self.line_trace: list[int] = []
         self.line_closure: list[int] = []

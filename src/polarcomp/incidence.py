@@ -1,8 +1,8 @@
 """Point-line incidence structures with bitset-backed subspace machinery.
 
-Point sets are plain Python ints used as bitsets, which keeps the exhaustive
-checks in this package fast without any dependencies.  Lines are sorted tuples
-of point indices.  The constructor deliberately does not enforce partial
+Point sets are plain Python ints used as bitsets, which keeps the full
+enumerations in this package fast without any dependencies.  Lines are sorted
+tuples of point indices.  The constructor deliberately does not enforce partial
 linearity: corrupted structures must stay representable so that the axiom
 checker can report on them.  :func:`is_isomorphism` checks a point bijection
 between two structures line by line.

@@ -8,7 +8,6 @@ against it, and failures carry witnesses instead of raising.
 from __future__ import annotations
 
 import itertools
-import random
 import time
 from collections import Counter
 from functools import cache
@@ -20,14 +19,6 @@ from .polar import _partial_linear_witness
 from .reconstruct import Run
 
 __all__ = ["CheckResult", "is_isomorphism", "find_isomorphism", "run_lemma_battery"]
-
-# Sampling caps of the battery outside ``exhaustive`` mode: parallel pairs
-# per pair check, classes up to which every triple is checked, and sampled
-# triples beyond that.
-PAIR_CAP = 500
-CLASS_LIMIT = 40
-TRIPLE_CAP = 2000
-
 
 class CheckResult:
     def __init__(
@@ -178,15 +169,15 @@ def _horizon_line_between(comp: Complement, d1: int, d2: int) -> int | None:
     return li
 
 
-def run_lemma_battery(run: Run, *, seed: int = 0, exhaustive: bool = False) -> list[CheckResult]:
+def run_lemma_battery(run: Run) -> list[CheckResult]:
     """Run every verified property of the run's complement; report, never raise.
 
+    Every pair of parallel lines and every triple of classes is checked.
     The intrinsic checks read the run's stages, so each is built at most
     once however many checks use it.
     """
     comp = run.complement
     st = comp.base.structure
-    rnd = random.Random(seed)
     delegated = run.delegated
 
     def check_partial_linear() -> dict | None:
@@ -225,24 +216,18 @@ def run_lemma_battery(run: Run, *, seed: int = 0, exhaustive: bool = False) -> l
             return {"deep_points": list(bits(deep)), "reason": "deep points on a non-hyperplane"}
         return None
 
-    def parallel_pairs() -> list[tuple[int, int]]:
-        fibers: dict[int, list[int]] = {}
+    @cache
+    def affine_fibres() -> list[list[int]]:
+        """The affine lines grouped by their point at infinity, each ascending."""
+        out: dict[int, list[int]] = {}
         for k in comp.affine_lines():
-            fibers.setdefault(comp.point_at_infinity(k), []).append(k)
-        pairs = [
-            (k, l)
-            for members in fibers.values()
-            for i, k in enumerate(members)
-            for l in members[i + 1 :]
-        ]
-        if not exhaustive and len(pairs) > PAIR_CAP:
-            pairs = rnd.sample(pairs, PAIR_CAP)
-            pairs.sort()
-        return pairs
+            out.setdefault(comp.point_at_infinity(k), []).append(k)
+        return list(out.values())
 
     def check_avoiding_hyperplane() -> dict | None:
         is_hyperplane = cache(st.is_hyperplane)
-        for k, l in parallel_pairs():
+        pairs = (pair for members in affine_fibres() for pair in itertools.combinations(members, 2))
+        for k, l in pairs:
             h = comp.avoiding_hyperplane(k, l)
             km = st.line_masks[comp.line_closure[k]]
             lm = st.line_masks[comp.line_closure[l]]
@@ -255,7 +240,12 @@ def run_lemma_battery(run: Run, *, seed: int = 0, exhaustive: bool = False) -> l
         return None
 
     def check_plane_chains() -> dict | None:
-        for k, l in parallel_pairs():
+        # Being joined by a chain of planes through the point at infinity is
+        # symmetric and transitive: two chains from a shared line m
+        # concatenate at m, as the two planes meeting there both contain the
+        # proper line m.  So chains from the first line of each fibre to the
+        # other lines of that fibre join every parallel pair.
+        for k, l in ((first, l) for first, *rest in affine_fibres() for l in rest):
             path = comp.plane_path(k, l)
             if not path:
                 return {"lines": [k, l], "reason": "empty plane chain"}
@@ -353,17 +343,7 @@ def run_lemma_battery(run: Run, *, seed: int = 0, exhaustive: bool = False) -> l
     @with_directions
     def check_ternary_collinearity(dirs: list[int]) -> dict | None:
         p = run.parallelism
-        nc = p.n_classes
-        if nc < 3:
-            return None
-        if exhaustive or nc <= CLASS_LIMIT:
-            triples = list(itertools.combinations(range(nc), 3))
-        else:
-            chosen = set()
-            while len(chosen) < TRIPLE_CAP:
-                chosen.add(tuple(sorted(rnd.sample(range(nc), 3))))
-            triples = sorted(chosen)
-        for c1, c2, c3 in triples:
+        for c1, c2, c3 in itertools.combinations(range(p.n_classes), 3):
             line = st.line_through(dirs[c1], dirs[c2])
             ground = line is not None and (st.line_masks[line] >> dirs[c3]) & 1
             if p.ternary_collinear(c1, c2, c3) != bool(ground):

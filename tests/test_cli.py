@@ -349,13 +349,6 @@ def test_run_timings_flag(tmp_path):
     assert all("elapsed_ms" in c for c in battery["checks"])
 
 
-def test_run_exhaustive_flag(tmp_path):
-    out = tmp_path / "exh"
-    assert run_cli("run", "--form", "sp:6:2", "--horizon", "point 0",
-                   "--tasks", "lemmas", "--out", str(out), "--exhaustive") == 0
-    assert read(out / "lemma_battery.json")["failed"] == 0
-
-
 def test_run_suite_layout(tmp_path):
     base = tmp_path / "suite"
     assert run_cli("run", "--suite", "--tasks", "axioms", "--out", str(base)) == 0

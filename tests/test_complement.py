@@ -318,6 +318,7 @@ def test_drop_proper_line(comp_point):
     assert dropped.n_lines == comp_point.n_lines - 1
     gone = comp_point.line_closure[0]
     assert gone not in dropped.line_closure
+    assert dropped._line_ids == sorted(dropped._line_ids)
     # the original complement is untouched
     assert comp_point.n_lines == 315
 

@@ -187,7 +187,7 @@ def test_forcing_keeps_the_first_mapping(sp62, q52, q62, q53, par_point, par_lin
 
 
 def test_battery_passes_on_point_horizon(comp_point):
-    results = run_lemma_battery(Run(comp_point), seed=0)
+    results = run_lemma_battery(Run(comp_point))
     assert [r.check_id for r in results] == BATTERY_IDS
     assert all(r.status == "pass" for r in results), [
         (r.check_id, r.witness) for r in results if r.status != "pass"
@@ -201,7 +201,7 @@ def test_battery_delegates_hyperplane_horizons(sp62):
     from polarcomp import build_complement
 
     comp = build_complement(sp62, sp62.structure.adj[0])
-    results = {r.check_id: r for r in run_lemma_battery(Run(comp), seed=0)}
+    results = {r.check_id: r for r in run_lemma_battery(Run(comp))}
     for check_id in ("partial_linear", "affine_fibration", "deep_points",
                      "avoiding_hyperplane", "plane_chains"):
         assert results[check_id].status == "pass", check_id
@@ -225,7 +225,7 @@ def test_battery_delegates_hyperplane_horizons(sp62):
 
 def test_battery_detects_a_dropped_line(comp_point):
     mutated = drop_proper_line(comp_point, 0)
-    results = run_lemma_battery(Run(mutated), seed=0)
+    results = run_lemma_battery(Run(mutated))
     failed = {r.check_id: r.witness for r in results if r.status == "fail"}
     assert "ambient_recovery" in failed
     assert failed["ambient_recovery"] is not None
@@ -235,12 +235,65 @@ def test_battery_flags_perp_meet_divergence(sp62):
     from polarcomp import build_complement
 
     comp = build_complement(sp62, sp62.structure.adj[0] & sp62.structure.adj[3])
-    results = run_lemma_battery(Run(comp), seed=0)
+    results = run_lemma_battery(Run(comp))
     failed = [r.check_id for r in results if r.status == "fail"]
     assert "parallel_tables_match" in failed
     # the ground-side properties still hold there
     passed = {r.check_id for r in results if r.status == "pass"}
     assert {"deep_points", "avoiding_hyperplane", "plane_chains"} <= passed
+
+
+def test_avoiding_hyperplane_checks_every_parallel_pair(comp_q53_lperp, monkeypatch):
+    # 1,332 parallel pairs; (454, 471) is the third from last in fibre order
+    # and one that a seeded 500-pair sample would leave out.
+    bad = (454, 471)
+    assert comp_q53_lperp.horizon_parallel(*bad)
+    table = comp_q53_lperp.parallel_table()
+    assert sum(row.bit_count() - 1 for row in table if row) // 2 == 1332
+    search = Complement.avoiding_hyperplane
+
+    def broken(self, k, l):
+        if (k, l) == bad:
+            raise LemmaFalsified(f"no hyperplane for lines {k} and {l}")
+        return search(self, k, l)
+
+    monkeypatch.setattr(Complement, "avoiding_hyperplane", broken)
+    results = {r.check_id: r for r in run_lemma_battery(Run(comp_q53_lperp))}
+    result = results["avoiding_hyperplane"]
+    assert (result.status, result.witness) == (
+        "fail", {"error": "no hyperplane for lines 454 and 471"}
+    )
+
+
+def test_plane_chains_join_each_line_to_its_fibre_head(comp_q53_lperp, monkeypatch):
+    """Chains run from the first line of each fibre to every other line in it,
+    fibre by fibre; the check reports the first chain that fails."""
+    comp = comp_q53_lperp
+    fibres: dict[int, list[int]] = {}
+    for k in comp.affine_lines():
+        fibres.setdefault(comp.point_at_infinity(k), []).append(k)
+    star = [(f[0], l) for f in fibres.values() for l in f[1:]]
+    assert len(star) == 230
+    # a line of the last fibre, not its first
+    x = 201
+    first = fibres[comp.point_at_infinity(x)][0]
+    assert (first, x) == (146, 201)
+    path = Complement.plane_path
+    calls = []
+
+    def broken(self, k, l):
+        calls.append((k, l))
+        if x in (k, l):
+            raise LemmaFalsified(f"no chain for lines {k} and {l}")
+        return path(self, k, l)
+
+    monkeypatch.setattr(Complement, "plane_path", broken)
+    results = {r.check_id: r for r in run_lemma_battery(Run(comp))}
+    result = results["plane_chains"]
+    assert (result.status, result.witness) == (
+        "fail", {"error": f"no chain for lines {first} and {x}"}
+    )
+    assert calls == star[: star.index((first, x)) + 1]
 
 
 @pytest.mark.parametrize("fixture", ["comp_point", "comp_line", "comp_q53_lperp"])
@@ -257,7 +310,7 @@ def test_fibration_witness_matches_oracle(fixture, request):
         bad._infinity[k] = next(bits(others)) if others else comp.proper_points[0]
         expected = fibration_mismatch(bad)
         assert expected is not None
-        results = run_lemma_battery(Run(bad), seed=0)
+        results = run_lemma_battery(Run(bad))
         result = next(r for r in results if r.check_id == "affine_fibration")
         assert result.status == "fail"
         assert result.witness == {
@@ -283,7 +336,7 @@ def test_partial_linear_witness_matches_local_structure(fixture, request):
         )
         expected = partial_linear_scan(local)
         assert expected is not None
-        results = run_lemma_battery(Run(bad), seed=0)
+        results = run_lemma_battery(Run(bad))
         result = next(r for r in results if r.check_id == "partial_linear")
         assert (result.status, result.witness) == ("fail", expected)
 
@@ -313,7 +366,7 @@ def test_equiv_triples_walk_matches_oracle(comp_q53_lperp, par_q53):
         if class_equiv(par, a, b) and class_equiv(par, b, c) and class_equiv(par, a, c)
         and not collinear(a, b, c)
     )
-    results = run_lemma_battery(TamperedRun(comp_q53_lperp), seed=0)
+    results = run_lemma_battery(TamperedRun(comp_q53_lperp))
     result = next(r for r in results if r.check_id == "equiv_triples_collinear")
     assert (result.status, result.witness) == ("fail", expected)
 
@@ -332,7 +385,7 @@ def test_battery_reports_any_exception(comp_point, monkeypatch, exc, witness):
         raise exc
 
     monkeypatch.setattr(Complement, "deep_lines", broken)
-    results = {r.check_id: r for r in run_lemma_battery(Run(comp_point), seed=0)}
+    results = {r.check_id: r for r in run_lemma_battery(Run(comp_point))}
     assert list(results) == BATTERY_IDS
     for check_id in ("deep_line_equivalence", "new_line_families"):
         assert results[check_id].status == "fail"
@@ -348,7 +401,7 @@ def test_battery_reports_a_failing_parallelism(comp_point, monkeypatch):
 
     monkeypatch.setattr(Parallelism, "__init__", broken)
     run = Run(comp_point)
-    results = {r.check_id: r for r in run_lemma_battery(run, seed=0)}
+    results = {r.check_id: r for r in run_lemma_battery(run)}
     assert list(results) == BATTERY_IDS
     intrinsic = BATTERY_IDS[5:]  # every check from parallel_tables_match on
     for check_id in BATTERY_IDS:
@@ -372,7 +425,7 @@ def test_check_times_exclude_the_parallelism_build(comp_point, monkeypatch):
         build(self, comp)
 
     monkeypatch.setattr(Parallelism, "__init__", slow)
-    results = run_lemma_battery(Run(comp_point), seed=0)
+    results = run_lemma_battery(Run(comp_point))
     assert [r.status for r in results] == ["pass"] * len(BATTERY_IDS)
     assert max(r.elapsed_ms for r in results) < 300
 
@@ -387,6 +440,7 @@ def test_check_result_serialization():
 
 
 def test_battery_is_seed_stable(comp_line):
-    a = [(r.check_id, r.status) for r in run_lemma_battery(Run(comp_line), seed=3)]
-    b = [(r.check_id, r.status) for r in run_lemma_battery(Run(comp_line), seed=3)]
+    """Nothing is sampled: two runs give the same results, witnesses included."""
+    a = [r.as_dict() for r in run_lemma_battery(Run(comp_line))]
+    b = [r.as_dict() for r in run_lemma_battery(Run(comp_line))]
     assert a == b
