@@ -1,12 +1,7 @@
 """Polar spaces over small fields, subspace complements, and reconstruction."""
 
 from .algebra import GF, normalize_point, pg_line, pg_points
-from .complement import (
-    Complement,
-    build_complement,
-    drop_proper_line,
-    resolve_horizon,
-)
+from .complement import Complement, build_complement, resolve_horizon
 from .errors import ConfigurationError, HorizonRefusal, IntegrityError, LemmaFalsified
 from .incidence import IncidenceStructure, bits, mask_of
 from .polar import (
@@ -50,7 +45,6 @@ __all__ = [
     "check_polar_axioms",
     "Complement",
     "build_complement",
-    "drop_proper_line",
     "resolve_horizon",
     "Parallelism",
     "ReconstructedStructure",

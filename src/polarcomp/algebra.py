@@ -155,9 +155,6 @@ class GF:
     def add(self, a: int, b: int) -> int:
         return self._add[a][b]
 
-    def sub(self, a: int, b: int) -> int:
-        return self._add[a][self._neg[b]]
-
     def neg(self, a: int) -> int:
         return self._neg[a]
 
@@ -168,14 +165,6 @@ class GF:
         if a == 0:
             raise ZeroDivisionError("0 has no inverse")
         return self._inv[a]
-
-    def div(self, a: int, b: int) -> int:
-        return self._mul[a][self.inv(b)]
-
-    def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            return self._pow_int(self.inv(a), -e)
-        return self._pow_int(a, e)
 
     def conj(self, a: int) -> int:
         """The involutory automorphism x -> x**sqrt(q); needs even degree."""

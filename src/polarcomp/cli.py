@@ -237,6 +237,8 @@ def _sanitize(text: str) -> str:
 def cmd_run(args) -> int:
     tasks = _parse_tasks(args.tasks)
     if args.suite:
+        if args.form is not None or args.horizon is not None:
+            raise ConfigurationError("--suite takes no --form or --horizon")
         configs = default_suite()
     elif args.form is None or args.horizon is None:
         raise ConfigurationError("run needs --form and --horizon (or --suite)")

@@ -23,7 +23,6 @@ from .polar import PolarSpace
 __all__ = [
     "Complement",
     "build_complement",
-    "drop_proper_line",
     "horizon_atoms",
     "resolve_horizon",
 ]
@@ -223,12 +222,6 @@ class Complement:
 def build_complement(ps: PolarSpace, horizon: int) -> Complement:
     """The complement of a horizon subspace in a polar space."""
     return Complement(ps, horizon)
-
-
-def drop_proper_line(c: Complement, k: int) -> Complement:
-    """A copy of the complement with one proper line deleted from the base."""
-    keep = [b for b in c._line_ids if b != c.line_closure[k]]
-    return Complement(c.base, c.horizon, line_ids=keep)
 
 
 def horizon_atoms(ps: PolarSpace, kind: str) -> list[int]:

@@ -86,10 +86,6 @@ class IncidenceStructure:
 
     # -- perps and radicals ------------------------------------------------
 
-    def perp_of(self, a: int) -> int:
-        """All points collinear with ``a``, including ``a`` itself."""
-        return self.adj[a]
-
     def set_perp(self, xs: int) -> int:
         """Intersection of perps over the set; everything for the empty set."""
         out = self.full_mask
@@ -125,19 +121,6 @@ class IncidenceStructure:
         if xs == self.full_mask or not self.is_subspace(xs):
             return False
         return all(m & xs for m in self.line_masks)
-
-    def is_spiky(self, xs: int) -> bool:
-        """Every point of the set is collinear with some point outside it."""
-        for p in bits(xs):
-            if not self.adj[p] & ~xs:
-                return False
-        return True
-
-    # -- line helpers --------------------------------------------------------
-
-    def lines_in(self, xs: int) -> list[int]:
-        """Ids of the lines fully contained in the set."""
-        return [i for i, m in enumerate(self.line_masks) if not m & ~xs]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IncidenceStructure):

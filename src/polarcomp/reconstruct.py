@@ -78,7 +78,8 @@ class Parallelism:
         self.star_rows = star
 
         # Classes: connected components of the symmetric star rows, each
-        # grown from the lowest-id line not yet in a class.
+        # grown from the lowest-id line not yet in a class.  The lines with
+        # a class (the keys of ``class_id``) are the intrinsically affine ones.
         cid: dict[int, int] = {}
         masks: list[int] = []
         todo = mask_of(i for i, row in enumerate(star) if row)
@@ -117,24 +118,10 @@ class Parallelism:
 
     # -- the parallelism itself ---------------------------------------------
 
-    def star(self, k1: int, k2: int) -> bool:
-        return bool((self.star_rows[k1] >> k2) & 1)
-
-    def parallel(self, k1: int, k2: int) -> bool:
-        """Reflexive-transitive closure of the crossing configuration."""
-        return k1 in self.class_id and bool((self.class_line_mask[self.class_id[k1]] >> k2) & 1)
-
     def table(self) -> list[int]:
         """Row ``k``: bitmask of lines intrinsically parallel to ``k``."""
         cid, masks = self.class_id, self.class_line_mask
         return [masks[cid[k]] if k in cid else 0 for k in range(self.comp.n_lines)]
-
-    def is_affine(self, k: int) -> bool:
-        """Self-parallel lines; intrinsically detected."""
-        return k in self.class_id
-
-    def affine_ids(self) -> list[int]:
-        return sorted(self.class_id)
 
     # -- relations on classes -------------------------------------------------
 
@@ -216,7 +203,7 @@ def reconstruct(par: Parallelism) -> ReconstructedStructure:
     extended: list[tuple[int, ...]] = []
     for k, trace in enumerate(comp.line_trace):
         pts = [comp.local_index[p] for p in bits(trace)]
-        if par.is_affine(k):
+        if k in par.class_id:
             pts.append(n_proper + par.class_id[k])
         extended.append(tuple(pts))
     prime = [tuple(n_proper + c for c in group) for group in par.lines_prime()]

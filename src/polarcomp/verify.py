@@ -169,6 +169,14 @@ def _horizon_line_between(comp: Complement, d1: int, d2: int) -> int | None:
     return li
 
 
+def _horizon_collinear(comp: Complement, d1: int, d2: int, d3: int) -> bool:
+    """Three distinct horizon points on one horizon line."""
+    li = _horizon_line_between(comp, d1, d2)
+    if li is None or d3 in (d1, d2):
+        return False
+    return bool((comp.base.structure.line_masks[li] >> d3) & 1)
+
+
 def run_lemma_battery(run: Run) -> list[CheckResult]:
     """Run every verified property of the run's complement; report, never raise.
 
@@ -276,13 +284,14 @@ def run_lemma_battery(run: Run) -> list[CheckResult]:
         return None
 
     def check_self_parallel_affine() -> dict | None:
+        table = run.parallelism.table()
         for k in comp.affine_lines():
-            if not run.parallelism.parallel(k, k):
+            if not (table[k] >> k) & 1:
                 return {"line": k, "reason": "affine line is not self-parallel"}
         return None
 
     def check_affine_detection() -> dict | None:
-        intrinsic = set(run.parallelism.affine_ids())
+        intrinsic = set(run.parallelism.class_id)
         ground = set(comp.affine_lines())
         if intrinsic != ground:
             return {
@@ -334,8 +343,7 @@ def run_lemma_battery(run: Run) -> list[CheckResult]:
         for c1, row in enumerate(related):
             for c2 in bits(row >> (c1 + 1) << (c1 + 1)):
                 for c3 in bits((row & related[c2]) >> (c2 + 1) << (c2 + 1)):
-                    line = st.line_through(dirs[c1], dirs[c2])
-                    if line is None or not (st.line_masks[line] >> dirs[c3]) & 1:
+                    if not _horizon_collinear(comp, dirs[c1], dirs[c2], dirs[c3]):
                         triple = [c1, c2, c3]
                         return {"classes": triple, "directions": [dirs[c] for c in triple]}
         return None
@@ -344,13 +352,12 @@ def run_lemma_battery(run: Run) -> list[CheckResult]:
     def check_ternary_collinearity(dirs: list[int]) -> dict | None:
         p = run.parallelism
         for c1, c2, c3 in itertools.combinations(range(p.n_classes), 3):
-            line = st.line_through(dirs[c1], dirs[c2])
-            ground = line is not None and (st.line_masks[line] >> dirs[c3]) & 1
-            if p.ternary_collinear(c1, c2, c3) != bool(ground):
+            ground = _horizon_collinear(comp, dirs[c1], dirs[c2], dirs[c3])
+            if p.ternary_collinear(c1, c2, c3) != ground:
                 return {
                     "classes": [c1, c2, c3],
                     "directions": [dirs[c1], dirs[c2], dirs[c3]],
-                    "ground_collinear": bool(ground),
+                    "ground_collinear": ground,
                 }
         return None
 

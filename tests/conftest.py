@@ -65,6 +65,11 @@ def qm72(gf2):
 
 
 @pytest.fixture(scope="session")
+def q72(gf2):
+    return build_polar(hyperbolic_form(7, gf2))
+
+
+@pytest.fixture(scope="session")
 def comp_point(sp62):
     """Complement of a single point in the symplectic space."""
     return build_complement(sp62, 1 << 0)

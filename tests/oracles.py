@@ -8,6 +8,7 @@ import itertools
 from collections import Counter
 
 from polarcomp.algebra import _poly_mod, _poly_trim, normalize_point, pg_line, pg_points
+from polarcomp.complement import Complement
 from polarcomp.incidence import bits, is_isomorphism, mask_of
 from polarcomp.verify import _joint_colors
 
@@ -69,6 +70,23 @@ def hyperplane_sections(ps):
         if m != ps.structure.full_mask and m not in sections:
             sections.append(m)
     return sections
+
+
+def is_spiky(st, xs):
+    """Every point of the set is collinear with some point outside it."""
+    return all(st.adj[p] & ~xs for p in bits(xs))
+
+
+def lines_in(st, xs):
+    """Ids of the lines fully contained in the set, line by line."""
+    return [i for i, m in enumerate(st.line_masks) if not m & ~xs]
+
+
+def drop_proper_line(c, k):
+    """A copy of the complement with proper line ``k`` deleted from the base:
+    the fault injector for checks that must notice a missing line."""
+    keep = [b for b in c._line_ids if b != c.line_closure[k]]
+    return Complement(c.base, c.horizon, line_ids=keep)
 
 
 def partial_linear_scan(st):
@@ -351,7 +369,7 @@ def lines_second_scan(par):
     out = []
     for pi in comp.semiaffine_planes():
         lines = comp.plane_lines(pi)
-        group = tuple(sorted({par.class_id[k] for k in lines if par.is_affine(k)}))
+        group = tuple(sorted({par.class_id[k] for k in lines if k in par.class_id}))
         if len(group) > 1 and group not in out:
             out.append(group)
     return out

@@ -15,7 +15,6 @@ from polarcomp import (
     Run,
     build_complement,
     check_polar_axioms,
-    drop_proper_line,
     find_isomorphism,
     is_isomorphism,
     run_lemma_battery,
@@ -23,6 +22,8 @@ from polarcomp import (
 from polarcomp.cli import main as cli_main
 from polarcomp.incidence import bits, mask_of
 from polarcomp.reconstruct import reconstruct
+
+from oracles import drop_proper_line, is_spiky, lines_in
 
 
 def _report(num, ok, detail=""):
@@ -72,7 +73,7 @@ def test_criterion_01_axioms(sp62, q52, q62):
 def test_criterion_02_perp_hyperplanes(sp62):
     st = sp62.structure
     t0 = time.perf_counter()
-    bad = [a for a in range(st.n_points) if not st.is_hyperplane(st.perp_of(a))]
+    bad = [a for a in range(st.n_points) if not st.is_hyperplane(st.adj[a])]
     dt = time.perf_counter() - t0
     _report(2, not bad and dt < 5.0,
             f"{st.n_points} perps in {dt:.2f}s{_why(bad)}")
@@ -83,7 +84,7 @@ def test_criterion_03_deep_points(sp62):
     problems = []
     t0 = time.perf_counter()
     for a in range(st.n_points):
-        w = st.perp_of(a)
+        w = st.adj[a]
         deep = build_complement(sp62, w).deep_points()
         if deep != 1 << a or deep & ~st.radical_of(w):
             problems.append(("perp", a))
@@ -91,13 +92,13 @@ def test_criterion_03_deep_points(sp62):
     small += [("line", li, st.line_masks[li]) for li in range(8)]
     others = [b for b in range(1, st.n_points) if st.collinear(0, b)][:4]
     others += [b for b in range(1, st.n_points) if not st.collinear(0, b)][:4]
-    small += [("perp-meet", b, st.perp_of(0) & st.perp_of(b)) for b in others]
+    small += [("perp-meet", b, st.adj[0] & st.adj[b]) for b in others]
     for kind, tag, w in small:
         if st.is_hyperplane(w):
             problems.append((kind, tag, "unexpected hyperplane"))
             continue
         comp = build_complement(sp62, w)
-        if comp.deep_points() or not st.is_spiky(w):
+        if comp.deep_points() or not is_spiky(st, w):
             problems.append((kind, tag))
     dt = time.perf_counter() - t0
     _report(3, not problems and dt < 30.0,
@@ -165,7 +166,7 @@ def test_criterion_06_parallel_tables(suite_configs):
 def test_criterion_07_affine_detection(suite_configs):
     problems = []
     for desc, label, comp, par in suite_configs:
-        if set(par.affine_ids()) != set(comp.affine_lines()):
+        if set(par.class_id) != set(comp.affine_lines()):
             problems.append((desc, label))
     _report(7, not problems, f"nine configurations{_why(problems)}")
 
@@ -174,7 +175,7 @@ def test_criterion_08_deep_line_equivalence(suite_configs, comp_q53_lperp, par_q
     configs = [
         (desc, label, comp, par)
         for desc, label, comp, par in suite_configs
-        if comp.base.structure.lines_in(comp.horizon)
+        if lines_in(comp.base.structure, comp.horizon)
     ]
     configs.append(("q+:5:3", "perp line 0", comp_q53_lperp, par_q53))
     problems = []

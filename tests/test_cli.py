@@ -252,6 +252,17 @@ def test_run_usage_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("extra", [["--form", "sp:6:2"], ["--horizon", "point 0"]])
+def test_run_suite_rejects_form_and_horizon(extra, tmp_path, capsys):
+    # The suite runs its own configurations; a form or horizon beside it
+    # would be silently ignored.
+    out = tmp_path / "suite"
+    assert run_cli("run", "--suite", *extra, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err == "error: --suite takes no --form or --horizon\n"
+    assert not out.exists()
+
+
 def test_run_refuses_span_of_everything(capsys):
     spec = "span " + ",".join(str(i) for i in range(35))
     code = run_cli("run", "--form", "q+:5:2", "--horizon", spec,

@@ -10,13 +10,13 @@ from polarcomp import (
     LemmaFalsified,
     Run,
     build_complement,
-    drop_proper_line,
     resolve_horizon,
 )
 from polarcomp.incidence import bits, mask_of
 from oracles import (
     affine_plane_horizon,
     affine_semiaffine_planes,
+    drop_proper_line,
     plane_lines_scan,
     plane_path_scan,
     realized_deep_points,

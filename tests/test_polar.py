@@ -31,6 +31,7 @@ from polarcomp.polar import _one_or_all_witness, _partial_linear_witness
 from oracles import (
     form_lines,
     hyperplane_sections,
+    lines_in,
     one_or_all_scan,
     pair_perp,
     partial_linear_scan,
@@ -132,7 +133,7 @@ def test_singular_planes_of_larger_spaces(desc, q, n_planes):
 def test_singular_plane_lines_match_lines_in(desc):
     ps = _space(desc)
     st = ps.structure
-    assert ps.singular_plane_lines() == [tuple(st.lines_in(m)) for m in ps.singular_planes()]
+    assert ps.singular_plane_lines() == [tuple(lines_in(st, m)) for m in ps.singular_planes()]
 
 
 def test_singular_planes_build_each_plane_once(monkeypatch):

@@ -12,20 +12,22 @@ import pytest
 
 from polarcomp import (
     Complement,
+    build_complement,
     IncidenceStructure,
     LemmaFalsified,
-    drop_proper_line,
     find_isomorphism,
     is_isomorphism,
     Parallelism,
     Run,
+    resolve_horizon,
     run_lemma_battery,
 )
 from polarcomp.incidence import bits
 from polarcomp.reconstruct import reconstruct
-from polarcomp.verify import CheckResult
+from polarcomp.verify import CheckResult, _horizon_collinear
 from oracles import (
     class_equiv,
+    drop_proper_line,
     fibration_mismatch,
     partial_linear_scan,
     random_reach,
@@ -241,6 +243,59 @@ def test_battery_flags_perp_meet_divergence(sp62):
     # the ground-side properties still hold there
     passed = {r.check_id for r in results if r.status == "pass"}
     assert {"deep_points", "avoiding_hyperplane", "plane_chains"} <= passed
+
+
+def _battery(ps, spec):
+    results = run_lemma_battery(Run(build_complement(ps, resolve_horizon(ps, spec))))
+    return {r.check_id: r for r in results}
+
+
+@pytest.mark.parametrize("space", ["qm72", "q72", "q62"])
+def test_order_two_perp_meet_fails_the_affine_checks(space, request):
+    # Boundary behaviour: at order 2 the crossing configuration leaves
+    # affine lines of ``meet perp 0 perp 1`` without a class, line 0 first.
+    results = _battery(request.getfixturevalue(space), "meet perp 0 perp 1")
+    failed = {check_id for check_id, r in results.items() if r.status == "fail"}
+    assert failed == {
+        "parallel_tables_match", "self_parallel_affine", "affine_detection", "ambient_recovery"
+    }
+    assert results["self_parallel_affine"].witness == {
+        "line": 0, "reason": "affine line is not self-parallel"
+    }
+    assert results["affine_detection"].witness == {
+        "only_intrinsic": [], "only_ground": list(range(8))
+    }
+
+
+def test_triple_checks_survive_classes_sharing_a_direction(q52):
+    # On ``plane 0`` of ``q+:5:2`` classes 0 and 1 share direction 0.  The
+    # triple checks look up no line through one point twice: a failure
+    # names its classes and directions.
+    results = _battery(q52, "plane 0")
+    assert results["class_point_bijection"].witness == {"reason": "two classes share a direction"}
+    for check_id in ("equiv_triples_collinear", "ternary_collinearity"):
+        r = results[check_id]
+        if r.status == "fail":
+            assert "error" not in r.witness and {"classes", "directions"} <= r.witness.keys()
+    assert results["ternary_collinearity"].witness == {
+        "classes": [0, 2, 6], "directions": [0, 2, 3], "ground_collinear": True
+    }
+    failed = {check_id for check_id, r in results.items() if r.status == "fail"}
+    assert failed == {
+        "parallel_tables_match",
+        "deep_line_equivalence",
+        "ternary_collinearity",
+        "new_line_families",
+        "class_point_bijection",
+        "ambient_recovery",
+    }
+
+
+def test_horizon_collinear_needs_three_distinct_points(comp_line):
+    a, b, c = bits(comp_line.horizon)
+    assert _horizon_collinear(comp_line, a, b, c)
+    for triple in ((a, b, a), (a, b, b), (a, a, b), (a, a, a)):
+        assert not _horizon_collinear(comp_line, *triple), triple
 
 
 def test_avoiding_hyperplane_checks_every_parallel_pair(comp_q53_lperp, monkeypatch):
