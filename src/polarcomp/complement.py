@@ -73,7 +73,7 @@ class Complement:
 
         self._planes: list[int] | None = None
         self._plane_ids: list[tuple[int, ...]] | None = None
-        self._plane_graph: tuple[list[int], dict[int, int]] | None = None
+        self._line_planes: list[list[int]] | None = None
 
     # -- lines and parallelism --------------------------------------------
 
@@ -137,6 +137,15 @@ class Complement:
             ]
         return self._plane_ids[pi]
 
+    def line_planes(self, k: int) -> list[int]:
+        """Ascending ids of the planes holding proper line ``k``."""
+        if self._line_planes is None:
+            self._line_planes = [[] for _ in range(self.n_lines)]
+            for pi in range(len(self.planes())):
+                for j in self.plane_lines(pi):
+                    self._line_planes[j].append(pi)
+        return self._line_planes[k]
+
     def semiaffine_planes(self) -> list[int]:
         """Ids of the planes that meet the horizon."""
         return [pi for pi, plane in enumerate(self.planes()) if plane & self.horizon]
@@ -180,38 +189,29 @@ class Complement:
     def plane_path(self, k: int, l: int) -> list[int]:
         """A chain of planes through the common infinity joining two lines.
 
-        Nodes are planes whose closure contains the shared point at infinity;
-        consecutive planes share a proper line; the first contains ``k`` and
+        Consecutive planes share a proper line; the first contains ``k`` and
         the last contains ``l``.  Breadth first, neighbours in ascending id.
+        Every plane holding an affine line contains its point at infinity
+        ``a``.  Two planes through ``a`` sharing a proper line ``j`` share its
+        closure, which passes through ``a``, else both planes would equal
+        span(``a``, closure).  So a chain steps only through ``a``'s fibre.
         """
         a = self._require_parallel_pair(k, l)
-        if self._plane_graph is None:
-            line_planes = [0] * self.n_lines
-            at_infinity: dict[int, int] = {}
-            for pi, plane in enumerate(self.planes()):
-                for j in self.plane_lines(pi):
-                    line_planes[j] |= 1 << pi
-                for d in bits(plane & self.horizon):
-                    at_infinity[d] = at_infinity.get(d, 0) | (1 << pi)
-            self._plane_graph = line_planes, at_infinity
-        line_planes, at_infinity = self._plane_graph
-        nodes = at_infinity.get(a, 0)
-        targets = nodes & line_planes[l]
-        seen = nodes & line_planes[k]
-        parent: dict[int, int | None] = {pi: None for pi in bits(seen)}
+        targets = set(self.line_planes(l))
+        parent: dict[int, int | None] = dict.fromkeys(self.line_planes(k))
         queue = list(parent)
         for pi in queue:
-            if (targets >> pi) & 1:
+            if pi in targets:
                 path = [pi]
                 while parent[path[-1]] is not None:
                     path.append(parent[path[-1]])  # type: ignore[arg-type]
                 return path[::-1]
-            step = 0
-            for j in self.plane_lines(pi):
-                step |= line_planes[j]
-            step &= nodes & ~seen
-            seen |= step
-            for pj in bits(step):
+            step = {
+                pj
+                for j in self.plane_lines(pi) if self._infinity[j] == a
+                for pj in self.line_planes(j) if pj not in parent
+            }
+            for pj in sorted(step):
                 parent[pj] = pi
                 queue.append(pj)
         raise LemmaFalsified(

@@ -111,10 +111,9 @@ class Parallelism:
             mask_of(cid[k] for k in comp.plane_lines(pi) if k in cid)
             for pi in range(len(comp.planes()))
         ]
-        self.class_planes = [0] * self.n_classes
-        for pi, row in enumerate(self.plane_classes):
-            for c in bits(row):
-                self.class_planes[c] |= 1 << pi
+        self.class_planes = [
+            mask_of(pi for k in cls for pi in comp.line_planes(k)) for cls in self.classes
+        ]
 
     # -- the parallelism itself ---------------------------------------------
 

@@ -226,11 +226,9 @@ def run_lemma_battery(run: Run) -> list[CheckResult]:
 
     @cache
     def affine_fibres() -> list[list[int]]:
-        """The affine lines grouped by their point at infinity, each ascending."""
-        out: dict[int, list[int]] = {}
-        for k in comp.affine_lines():
-            out.setdefault(comp.point_at_infinity(k), []).append(k)
-        return list(out.values())
+        """The affine lines grouped by their point at infinity, each ascending:
+        the distinct nonzero rows of the parallel table, by least member."""
+        return [list(bits(row)) for row in dict.fromkeys(comp.parallel_table()) if row]
 
     def check_avoiding_hyperplane() -> dict | None:
         is_hyperplane = cache(st.is_hyperplane)

@@ -13,6 +13,7 @@ from polarcomp import (
     build_complement,
     build_polar,
     elliptic_form,
+    hermitian_form,
     hyperbolic_form,
     parabolic_form,
     symplectic_form,
@@ -57,6 +58,26 @@ def q53(gf3):
 @pytest.fixture(scope="session")
 def sp63(gf3):
     return build_polar(symplectic_form(6, gf3))
+
+
+@pytest.fixture(scope="session")
+def q63(gf3):
+    return build_polar(parabolic_form(6, gf3))
+
+
+@pytest.fixture(scope="session")
+def q54(gf4):
+    return build_polar(hyperbolic_form(5, gf4))
+
+
+@pytest.fixture(scope="session")
+def herm54(gf4):
+    return build_polar(hermitian_form(5, gf4))
+
+
+@pytest.fixture(scope="session")
+def sp82(gf2):
+    return build_polar(symplectic_form(8, gf2))
 
 
 @pytest.fixture(scope="session")

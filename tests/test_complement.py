@@ -8,6 +8,7 @@ from polarcomp import (
     Complement,
     HorizonRefusal,
     LemmaFalsified,
+    Parallelism,
     Run,
     build_complement,
     resolve_horizon,
@@ -302,6 +303,72 @@ def test_plane_path_matches_scan_oracle(space, spec, request):
             except LemmaFalsified:
                 path = None
             assert path == plane_path_scan(comp, k, l), (k, l)
+
+
+def _fibres(comp):
+    """The affine lines grouped by point at infinity, each ascending."""
+    out: dict[int, list[int]] = {}
+    for k in comp.affine_lines():
+        out.setdefault(comp.point_at_infinity(k), []).append(k)
+    return list(out.values())
+
+
+def test_plane_chains_step_only_through_the_fibre(q53, monkeypatch):
+    """``line_planes`` is the transpose of ``plane_lines``, and a chain search
+    asks it only about lines through the pair's point at infinity."""
+    st = q53.structure
+    comp = build_complement(q53, st.set_perp(st.line_masks[0]))
+    for c in (comp, drop_proper_line(comp, comp.affine_lines()[0])):
+        for k in range(c.n_lines):
+            planes = [pi for pi in range(len(c.planes())) if k in c.plane_lines(pi)]
+            assert c.line_planes(k) == planes, k
+    asked = []
+    line_planes = Complement.line_planes
+
+    def spy(self, k):
+        asked.append(k)
+        return line_planes(self, k)
+
+    monkeypatch.setattr(Complement, "line_planes", spy)
+    for head, *rest in _fibres(comp):
+        for l in rest:
+            asked.clear()
+            comp.plane_path(head, l)
+            assert asked
+            assert all(comp.horizon_parallel(head, j) for j in asked), (head, l)
+
+
+ORDER_CASES = [
+    ("herm54", "line 0"),
+    ("sp63", "line 0"),
+    ("q63", "meet perp 0 perp 1"),
+    ("sp82", "point 0"),
+    ("q54", "line 0"),
+    ("q72", "line 0"),
+]
+
+
+@pytest.mark.parametrize("space,spec", ORDER_CASES)
+def test_plane_tables_match_oracles_beyond_order_two(space, spec, request):
+    """Chains from each fibre head to its second and last member match the
+    scan, and the planes of each class are the transpose of the classes of
+    each plane."""
+    for comp in _pair_complements(space, spec, request):
+        fibres = [f for f in _fibres(comp) if len(f) > 1]
+        assert fibres
+        for head, *rest in fibres:
+            for l in {rest[0], rest[-1]}:
+                try:
+                    path = comp.plane_path(head, l)
+                except LemmaFalsified:
+                    path = None
+                assert path == plane_path_scan(comp, head, l), (head, l)
+        par = Parallelism(comp)
+        assert par.n_classes
+        assert par.class_planes == [
+            mask_of(pi for pi, row in enumerate(par.plane_classes) if (row >> c) & 1)
+            for c in range(par.n_classes)
+        ]
 
 
 @pytest.mark.parametrize("space,spec", PAIR_CASES)
