@@ -41,7 +41,7 @@ class Complement:
             raise HorizonRefusal("horizon equals the whole point set")
         # The candidate hyperplanes containing the horizon: exactly
         # ``[horizon]`` when it is a hyperplane, as hyperplanes are maximal.
-        self.over_horizon = [h for h in base.hyperplane_candidates() if not horizon & ~h]
+        self.over_horizon = base.hyperplane_candidates(horizon)
         if not self.over_horizon:
             raise HorizonRefusal("horizon lies in no candidate hyperplane")
         self.base = base
@@ -66,11 +66,8 @@ class Complement:
             self._infinity.append(inf.bit_length() - 1 if inf else None)
 
         self.n_lines = len(self.line_trace)
-        self._point_lines: dict[int, int] = {}
-        for i, trace in enumerate(self.line_trace):
-            for p in bits(trace):
-                self._point_lines[p] = self._point_lines.get(p, 0) | (1 << i)
 
+        self._point_lines: dict[int, int] | None = None
         self._planes: list[int] | None = None
         self._plane_ids: list[tuple[int, ...]] | None = None
         self._line_planes: list[list[int]] | None = None
@@ -79,6 +76,11 @@ class Complement:
 
     def lines_at_point(self, p: int) -> int:
         """Bitmask of proper line ids through a proper base point."""
+        if self._point_lines is None:
+            self._point_lines = {}
+            for i, trace in enumerate(self.line_trace):
+                for x in bits(trace):
+                    self._point_lines[x] = self._point_lines.get(x, 0) | (1 << i)
         return self._point_lines.get(p, 0)
 
     def is_affine(self, k: int) -> bool:

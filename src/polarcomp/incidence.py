@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterable, Iterator
+from itertools import combinations
 
 __all__ = ["bits", "mask_of", "IncidenceStructure", "is_isomorphism"]
 
@@ -61,11 +62,10 @@ class IncidenceStructure:
                 self._lines_at[p].append(i)
                 adj[p] |= m
         self.adj = adj
-        self._pair_line: dict[tuple[int, int], int] = {}
-        for i, pts in enumerate(norm):
-            for x in range(len(pts)):
-                for y in range(x + 1, len(pts)):
-                    self._pair_line.setdefault((pts[x], pts[y]), i)
+        # Lines in reverse, so the first line through a pair wins.
+        self._pair_line: dict[tuple[int, int], int] = {
+            pair: i for i in range(len(norm) - 1, -1, -1) for pair in combinations(norm[i], 2)
+        }
 
     # -- basic incidence -------------------------------------------------
 

@@ -229,18 +229,6 @@ def _sections(
         yield partial[0]
 
 
-def _perp_line(perps: list[int], i: int, j: int, size: int) -> int:
-    """Mask of the line on the orthogonal points ``i``, ``j``: the points
-    orthogonal to both are orthogonal to all of it, and in a nondegenerate
-    space no other point lies in all their perps."""
-    line = both = perps[i] & perps[j]
-    for x in bits(both):
-        line &= perps[x]
-        if line.bit_count() == size:
-            return line
-    raise ConfigurationError(f"degenerate space: points {i} and {j} span no line of {size} points")
-
-
 def compute_rank(st: IncidenceStructure) -> int:
     """Length of a maximal chain of nonempty singular subspaces.
 
@@ -267,26 +255,32 @@ def _plane_lines(st: IncidenceStructure) -> dict[int, tuple[int, ...]]:
     that no plane found through the line covers (such planes meet only in it).
     That line holds the plane's two least points, and the planes on one line
     follow their least points off it, so the keys are in lexicographic order."""
-    covered = list(st.line_masks)
+    lines, line_masks, adj, line_through = st.lines, st.line_masks, st.adj, st.line_through
+    covered = list(line_masks)
     found = {}
-    for li, lm in enumerate(st.line_masks):
-        rest = st.set_perp(lm) & ~covered[li]
+    for li, (lm, on) in enumerate(zip(line_masks, lines)):
+        rest = ~covered[li]
+        for p in on:
+            rest &= adj[p]
         while rest:
             # The plane on L and x: L, the spokes from x to the points of L,
             # and at each point of L the lines to the points off L and its spoke.
             x = (rest & -rest).bit_length() - 1
-            spokes = [st.line_through(x, p) for p in st.lines[li]]
-            plane = lm | mask_of(p for k in spokes for p in st.lines[k])
+            spokes = [line_through(x, p) for p in on]
+            plane = lm
+            for k in spokes:
+                plane |= line_masks[k]
             ids = [li, *spokes]
-            for p, k in zip(st.lines[li], spokes):
-                off = plane & ~lm & ~st.line_masks[k]
+            for p, k in zip(on, spokes):
+                off = plane & ~lm & ~line_masks[k]
                 while off:
-                    j = st.line_through(p, (off & -off).bit_length() - 1)
+                    j = line_through(p, (off & -off).bit_length() - 1)
                     ids.append(j)
-                    off &= ~st.line_masks[j]
+                    off &= ~line_masks[j]
             for k in ids:
                 covered[k] |= plane
-            found[plane] = tuple(sorted(ids))
+            ids.sort()
+            found[plane] = tuple(ids)
             rest &= ~plane
     return found
 
@@ -308,7 +302,6 @@ class PolarSpace:
         self.ambient_dim = form.dim - 1
         self._planes: list[int] | None = None
         self._plane_lines: list[tuple[int, ...]] = []
-        self._hyp_candidates: list[int] | None = None
 
     @classmethod
     def from_form(cls, form: FormSpec) -> "PolarSpace":
@@ -318,21 +311,26 @@ class PolarSpace:
         pts = [p for p in pg_points(field, form.dim - 1) if form.vec_singular(p)]
         if not pts:
             raise ConfigurationError("the form admits no singular points")
-        # joined[i]: points already on a found line through point i, so each
-        # line is built once, from its first orthogonal pair: its two least
-        # points, so the lines come out in lexicographic order.
+        # joined[i]: points already on a found line through point i.  A new
+        # line L through i is built once, at its least point i, from the points
+        # j sharing the key perp(i) & perp(j) = L's perp (L^⊥⊥ = L when
+        # nondegenerate); groups follow their least points, so lines come sorted.
         joined = [1 << i for i in range(len(pts))]
         lines = []
         perps = list(_sections(field, pts, (form.perp_covector(p) for p in pts)))
         for i, perp in enumerate(perps):
-            rest = perp & ~joined[i] & ~((2 << i) - 1)
-            while rest:
-                j = (rest & -rest).bit_length() - 1
-                m = _perp_line(perps, i, j, field.q + 1)
-                for p in bits(m):
+            groups: dict[int, list[int]] = {}
+            for j in bits(perp & ~joined[i] & ~((2 << i) - 1)):
+                groups.setdefault(perp & perps[j], []).append(j)
+            for g in groups.values():
+                if len(g) != field.q:
+                    raise ConfigurationError(
+                        f"degenerate space: points {i} and {g[0]} span no line of {field.q + 1} points"
+                    )
+                lines.append((i, *g))
+                m = mask_of(lines[-1])
+                for p in g:
                     joined[p] |= m
-                lines.append(tuple(bits(m)))
-                rest &= ~m
         st = IncidenceStructure(len(pts), lines)
         for p in range(st.n_points):
             if st.adj[p] == st.full_mask:
@@ -355,18 +353,18 @@ class PolarSpace:
         self.singular_planes()
         return self._plane_lines
 
-    def hyperplane_candidates(self) -> list[int]:
-        """Ambient-hyperplane sections, deduplicated, in covector order.
-
-        Every perp is among them: ``p``'s perp is the section of the covector
-        ``form.perp_covector(p)``.
-        """
-        if self._hyp_candidates is None:
-            f = self.form.field
-            sections = _sections(f, self.points, pg_points(f, self.form.dim - 1))
-            full = self.structure.full_mask
-            self._hyp_candidates = list(dict.fromkeys(m for m in sections if m != full))
-        return self._hyp_candidates
+    def hyperplane_candidates(self, over: int = 0) -> list[int]:
+        """Ambient-hyperplane sections over the point set ``over``, deduplicated,
+        in covector order: only the covectors vanishing on ``over``, which the
+        dual sections pick out, are folded.  ``p``'s perp is the section of the
+        covector ``form.perp_covector(p)``."""
+        f = self.form.field
+        covectors = pg_points(f, self.form.dim - 1)
+        keep = (1 << len(covectors)) - 1
+        for m in _sections(f, covectors, [self.points[x] for x in bits(over)]):
+            keep &= m
+        sections = _sections(f, self.points, [covectors[c] for c in bits(keep)])
+        return list(dict.fromkeys(m for m in sections if m != self.structure.full_mask))
 
     def __repr__(self) -> str:
         return (

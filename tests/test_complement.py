@@ -120,6 +120,18 @@ def test_lines_at_point(comp_point):
         assert all((comp_point.line_trace[k] >> p) & 1 for k in ids)
 
 
+@pytest.mark.parametrize("space, spec", [("q53", "meet perp 0 perp 3"), ("qm72", "point 0")])
+@pytest.mark.parametrize("dropped", [False, True])
+def test_lines_at_point_match_trace_scan(space, spec, dropped, request):
+    ps = request.getfixturevalue(space)
+    comp = build_complement(ps, resolve_horizon(ps, spec))
+    if dropped:
+        comp = drop_proper_line(comp, comp.n_lines // 2)
+    for p in comp.proper_points:
+        scan = mask_of(k for k, trace in enumerate(comp.line_trace) if trace >> p & 1)
+        assert comp.lines_at_point(p) == scan, p
+
+
 def test_planes_and_semiaffine(comp_point):
     planes = comp_point.planes()
     assert len(planes) == 135

@@ -64,6 +64,14 @@ def test_collinear_and_line_through(fano, path2):
     assert not path2.collinear(0, 3)
 
 
+def test_first_line_through_a_pair_wins():
+    # a corrupted structure: two lines share the pair (0, 1)
+    st = IncidenceStructure(5, [(0, 1, 2), (0, 1, 3)])
+    assert st.line_through(0, 1) == 0
+    assert st.line_through(1, 0) == 0
+    assert st.line_through(1, 3) == 1
+
+
 def test_perp_and_set_perp(path2):
     assert path2.adj[0] == mask_of([0, 1, 2])
     assert path2.set_perp(0) == path2.full_mask

@@ -26,6 +26,7 @@ from polarcomp import (
 )
 from polarcomp import polar as polar_module
 from polarcomp.cli import parse_form
+from polarcomp.complement import resolve_horizon
 from polarcomp.incidence import bits
 from polarcomp.polar import _one_or_all_witness, _partial_linear_witness
 from oracles import (
@@ -178,6 +179,22 @@ def test_hyperplane_candidates_match_oracle(desc):
 
 
 @pytest.mark.parametrize("desc", ORACLE_SPACES)
+def test_candidates_over_a_set_match_oracle(desc):
+    ps = _space(desc)
+    st = ps.structure
+    sections = hyperplane_sections(ps)
+    far = next(p for p in range(st.n_points) if not st.collinear(0, p))
+    specs = ["point 0", "line 0", "perp 0", "meet perp 0 perp 3", f"span 0,{far}"]
+    if ps.rank >= 3:
+        specs.append("plane 0")
+    over = [0, *(resolve_horizon(ps, spec) for spec in specs)]
+    # a section that is no point's perp, where the space has one
+    over += [h for h in sections if h not in st.adj][:1]
+    for w in over:
+        assert ps.hyperplane_candidates(w) == [h for h in sections if not w & ~h], w
+
+
+@pytest.mark.parametrize("desc", ORACLE_SPACES)
 def test_axiom_witnesses_match_oracles(desc):
     st = _space(desc).structure
     lines = st.lines
@@ -214,19 +231,20 @@ def test_axiom_witnesses_match_oracles(desc):
 
 
 def test_from_form_builds_each_line_once(gf3, monkeypatch):
-    calls = []
-    original = polar_module._perp_line
+    emitted = []
 
-    def counting_perp_line(perps, i, j, size):
-        calls.append((i, j))
-        return original(perps, i, j, size)
+    def recording_structure(n_points, lines):
+        emitted.extend(lines)
+        return IncidenceStructure(n_points, lines)
 
-    monkeypatch.setattr(polar_module, "_perp_line", counting_perp_line)
+    monkeypatch.setattr(polar_module, "IncidenceStructure", recording_structure)
     ps = build_polar(hyperbolic_form(5, gf3))
-    lines = ps.structure.lines
-    assert len(calls) == len(lines) == 520
-    # each from its first orthogonal pair: the line's two lowest points
-    assert sorted(calls) == [line[:2] for line in lines]
+    assert len(emitted) == 520
+    # each formed at its least point, its other points ascending after it
+    assert all(list(line) == sorted(line) for line in emitted)
+    # strictly increasing: lexicographic order, and no line emitted twice
+    assert all(a < b for a, b in zip(emitted, emitted[1:]))
+    assert emitted == ps.structure.lines == form_lines(ps)
 
 
 def test_hermitian_gq(gf4):
