@@ -2,9 +2,9 @@
 
 Field elements are stored as plain ints in ``range(q)``: the base-p digits of
 the int, least significant first, are the coefficients of a polynomial over
-GF(p) reduced modulo a fixed irreducible modulus.  All arithmetic is table
-driven, which is comfortable because every supported field has order at most
-sixteen.
+GF(p) reduced modulo one fixed monic irreducible modulus per order.  All
+arithmetic is table driven, which is comfortable because every supported field
+has order at most sixteen; products come from addition and multiplication by x.
 """
 
 from __future__ import annotations
@@ -39,39 +39,6 @@ def _is_prime(n: int) -> bool:
         if n % d == 0:
             return False
     return True
-
-
-def _poly_trim(poly: Sequence[int]) -> tuple[int, ...]:
-    out = list(poly)
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
-
-def _poly_mod(poly: Sequence[int], modulus: Sequence[int], p: int) -> tuple[int, ...]:
-    """Remainder of ``poly`` modulo ``modulus``, coefficients in GF(p)."""
-    rem = [c % p for c in poly]
-    deg_m = len(_poly_trim(modulus)) - 1
-    lead_inv = pow(modulus[deg_m], p - 2, p) if p > 2 else 1
-    while True:
-        rem = list(_poly_trim(rem))
-        if len(rem) - 1 < deg_m:
-            break
-        shift = len(rem) - 1 - deg_m
-        factor = (rem[-1] * lead_inv) % p
-        for i, c in enumerate(modulus[: deg_m + 1]):
-            rem[shift + i] = (rem[shift + i] - factor * c) % p
-    return tuple(rem)
-
-
-def _poly_mul(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca == 0:
-            continue
-        for j, cb in enumerate(b):
-            out[i + j] = (out[i + j] + ca * cb) % p
-    return out
 
 
 class GF:
@@ -110,45 +77,29 @@ class GF:
         return cls(p, k)
 
     def _build_tables(self) -> None:
-        p, k, q = self.p, self.k, self.q
+        p, q = self.p, self.q
         digits = [self.coeffs(a) for a in range(q)]
 
         def pack(poly: Sequence[int]) -> int:
-            val = 0
-            for i, c in enumerate(poly):
-                val += (c % p) * p**i
-            return val
+            return sum((c % p) * p**i for i, c in enumerate(poly))
 
-        self._add = [
-            [pack([(x + y) % p for x, y in zip(digits[a], digits[b])]) for b in range(q)]
-            for a in range(q)
+        self._add = [[pack([x + y for x, y in zip(u, v)]) for v in digits] for u in digits]
+        self._neg = [pack([-x for x in u]) for u in digits]
+        # x * u: shift the digits up, fold the top one back through the monic modulus
+        times_x = [
+            pack([lo - u[-1] * m for lo, m in zip((0, *u[:-1]), self.modulus)]) for u in digits
         ]
-        self._neg = [pack([(-x) % p for x in digits[a]]) for a in range(q)]
-        self._mul = [
-            [pack(_poly_mod(_poly_mul(digits[a], digits[b], p), self.modulus, p)) for b in range(q)]
-            for a in range(q)
-        ]
-        self._inv = [0] * q
-        for a in range(1, q):
+        # a * b by Horner over the digits of b: a * (b % p) + x * (a * (b // p))
+        add = self._add
+        self._mul = [[0] * q for _ in range(q)]
+        for a, row in enumerate(self._mul):
             for b in range(1, q):
-                if self._mul[a][b] == 1:
-                    self._inv[a] = b
-                    break
-        if k % 2 == 0:
-            e = p ** (k // 2)
-            self._conj = [self._pow_int(a, e) for a in range(q)]
-        else:
-            self._conj = None
-
-    def _pow_int(self, a: int, e: int) -> int:
-        out = 1
-        base = a
-        while e:
-            if e & 1:
-                out = self._mul[out][base]
-            base = self._mul[base][base]
-            e >>= 1
-        return out
+                row[b] = add[row[b - 1]][a] if b < p else add[row[b % p]][times_x[row[b // p]]]
+        self._conj = None
+        if self.k % 2 == 0:
+            self._conj = list(range(q))
+            for _ in range(p ** (self.k // 2) - 1):
+                self._conj = [self._mul[c][a] for a, c in enumerate(self._conj)]
 
     # -- int-level arithmetic ------------------------------------------------
 
@@ -164,7 +115,7 @@ class GF:
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("0 has no inverse")
-        return self._inv[a]
+        return self._mul[a].index(1)
 
     def conj(self, a: int) -> int:
         """The involutory automorphism x -> x**sqrt(q); needs even degree."""
@@ -179,19 +130,6 @@ class GF:
             out.append(a % self.p)
             a //= self.p
         return tuple(out)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, GF):
-            return NotImplemented
-        return (self.p, self.k, self.modulus) == (other.p, other.k, other.modulus)
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.k, self.modulus))
-
-    def __repr__(self) -> str:
-        if self.k == 1:
-            return f"GF({self.p})"
-        return f"GF({self.p}^{self.k})"
 
 
 # -- projective space primitives ---------------------------------------------

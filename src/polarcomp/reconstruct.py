@@ -236,7 +236,7 @@ def canonical_map(recon: ReconstructedStructure) -> dict[int, int]:
             raise IntegrityError(f"classes {seen[direction]} and {c} share direction {direction}")
         seen[direction] = c
         mapping[recon.n_proper + c] = direction
-    uncovered = comp.horizon & ~sum(1 << d for d in seen) if seen else comp.horizon
+    uncovered = comp.horizon & ~mask_of(seen)
     if uncovered:
         raise IntegrityError(f"horizon points {list(bits(uncovered))} have no direction")
     return mapping

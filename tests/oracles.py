@@ -7,23 +7,55 @@ spaces; the tests use them only as oracles.
 import itertools
 from collections import Counter
 
-from polarcomp.algebra import _poly_mod, _poly_trim, normalize_point, pg_line, pg_points
+from polarcomp.algebra import normalize_point, pg_line, pg_points
 from polarcomp.complement import Complement
 from polarcomp.incidence import bits, is_isomorphism, mask_of
 from polarcomp.verify import _joint_colors
 
 
+def _poly_rem(poly, monic, p):
+    """Remainder of ``poly`` modulo the ``monic`` polynomial over GF(p),
+    coefficients constant first, trailing zeros trimmed."""
+    rem = [c % p for c in poly]
+    deg = len(monic) - 1
+    while len(rem) > deg:
+        top = rem.pop()
+        for i, c in enumerate(monic[:-1], len(rem) - deg):
+            rem[i] = (rem[i] - top * c) % p
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return tuple(rem)
+
+
 def is_irreducible(modulus, p):
-    """Trial division by every monic polynomial of degree up to deg/2."""
-    mod = _poly_trim(modulus)
-    deg = len(mod) - 1
+    """Trial division by every monic polynomial of degree up to deg/2; the
+    last coefficient of ``modulus`` is its nonzero leading one."""
+    deg = len(modulus) - 1
     if deg < 1:
         return False
     for d in range(1, deg // 2 + 1):
         for tail in itertools.product(range(p), repeat=d):
-            if len(_poly_mod(mod, list(tail) + [1], p)) == 0:
+            if not _poly_rem(modulus, tail + (1,), p):
                 return False
     return True
+
+
+def field_digits(a, p, k):
+    """Base-p digits of ``a``, least significant first."""
+    return [a // p**i % p for i in range(k)]
+
+
+def field_pack(digits, p):
+    return sum(c * p**i for i, c in enumerate(digits))
+
+
+def field_mul(p, k, modulus, a, b):
+    """Polynomial product of the digits of ``a`` and ``b``, reduced by ``modulus``."""
+    prod = [0] * (2 * k - 1)
+    for i, x in enumerate(field_digits(a, p, k)):
+        for j, y in enumerate(field_digits(b, p, k)):
+            prod[i + j] += x * y
+    return field_pack(_poly_rem(prod, modulus, p), p)
 
 
 def bilin(form, u, v):

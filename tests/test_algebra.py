@@ -9,7 +9,7 @@ import pytest
 
 from polarcomp import GF, normalize_point, pg_line, pg_points
 from polarcomp.algebra import DEFAULT_MODULI
-from oracles import is_irreducible
+from oracles import field_digits, field_mul, field_pack, is_irreducible
 
 ORDERS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16]
 
@@ -113,6 +113,24 @@ def test_gf9_table(gf3):
     assert all(f9.conj(a) == a for a in range(3))
     assert f9.add(1, 2) == 0
     assert gf3.add(1, 2) == 0
+
+
+def test_tables_match_polynomial_arithmetic(field):
+    # every entry, not only the axioms: point ids depend on the labels
+    p, k, q = field.p, field.k, field.q
+    modulus = DEFAULT_MODULI.get((p, k), (0, 1))
+    for a in range(q):
+        da = field_digits(a, p, k)
+        assert field.neg(a) == field_pack([-x % p for x in da], p)
+        for b in range(q):
+            db = field_digits(b, p, k)
+            assert field.add(a, b) == field_pack([(x + y) % p for x, y in zip(da, db)], p)
+            assert field.mul(a, b) == field_mul(p, k, modulus, a, b)
+        if k % 2 == 0:
+            power = 1
+            for _ in range(p ** (k // 2)):
+                power = field_mul(p, k, modulus, power, a)
+            assert field.conj(a) == power
 
 
 def test_coeffs_roundtrip():

@@ -392,6 +392,17 @@ def test_run_suite_output_is_pinned(tmp_path):
     assert tree_digest(base) == SUITE_DIGEST
 
 
+# The same digest over `run --form herm:5:4 --horizon "line 0"`: GF(4) is the
+# only extension field whose rank-3 spaces fit under MAX_PG_POINTS.
+HERM_LINE_DIGEST = "be4fbc1525c487d7b2e8142da47050d31a6ece46ad65f2ef912b3506ee323ed0"
+
+
+def test_run_hermitian_line_output_is_pinned(tmp_path):
+    out = tmp_path / "herm54"
+    assert run_cli("run", "--form", "herm:5:4", "--horizon", "line 0", "--out", str(out)) == 0
+    assert tree_digest(out) == HERM_LINE_DIGEST
+
+
 def test_run_larger_space_full_pipeline(tmp_path):
     out = tmp_path / "sp63"
     assert run_cli("run", "--form", "sp:6:3", "--horizon", "point 0", "--out", str(out)) == 0
