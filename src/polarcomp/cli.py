@@ -112,6 +112,7 @@ def cmd_build(args) -> int:
 def _complement_payload(run: Run) -> dict:
     comp = run.complement
     st = comp.base.structure
+    n_planes, n_semiaffine = comp.plane_counts()
     return {
         "horizon_points": list(bits(comp.horizon)),
         "n_proper_points": len(comp.proper_points),
@@ -119,8 +120,8 @@ def _complement_payload(run: Run) -> dict:
         "affine_lines": comp.affine_lines(),
         "deep_points": list(bits(comp.deep_points())),
         "deep_lines": [list(st.lines[li]) for li in comp.deep_lines()],
-        "n_planes": len(comp.planes()),
-        "n_semiaffine_planes": len(comp.semiaffine_planes()),
+        "n_planes": n_planes,
+        "n_semiaffine_planes": n_semiaffine,
         "horizon_is_hyperplane": run.delegated,
     }
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
-from .errors import HorizonRefusal, LemmaFalsified
+from .errors import HorizonRefusal, IntegrityError, LemmaFalsified
 from .incidence import bits, mask_of
 from .polar import PolarSpace
 
@@ -159,13 +159,36 @@ class Complement:
             raise ValueError(f"plane {pi} is not semiaffine")
         return out
 
+    def plane_counts(self) -> tuple[int, int]:
+        """``(len(planes()), len(semiaffine_planes()))`` read from the line
+        perps, with no plane built.  The planes on a line ``L`` meet only in
+        ``L`` and cover ``L^⊥``, each with ``q**2`` points off ``L``.  For
+        ``L`` in the horizon W (a subspace) those inside W cover ``L^⊥ ∩ W``;
+        for ``L`` missing W each point of ``L^⊥ ∩ W`` lies on the one plane on
+        ``L`` through it, which meets W only there.  Summed over the lines,
+        each plane counts once per line, ``q**2 + q + 1`` times."""
+        q, w = self.base.form.field.q, self.horizon
+
+        def whole(n: int, d: int) -> int:
+            if n % d:
+                raise IntegrityError(f"line perps count {n} plane incidences, not a multiple of {d}")
+            return n // d
+
+        total = inside = missing = 0
+        for lm, perp in zip(self.base.structure.line_masks, self.base.line_perps):
+            on_line = whole(perp.bit_count() - q - 1, q * q)
+            total += on_line
+            if not lm & ~w:
+                inside += whole((perp & w).bit_count() - q - 1, q * q)
+            elif not lm & w:
+                missing += on_line - (perp & w).bit_count()
+        n_planes = whole(total - inside, q * q + q + 1)
+        return n_planes, n_planes - whole(missing, q * q + q + 1)
+
     def deep_lines(self) -> list[int]:
         """Base ids of the horizon lines whose perp lies in the horizon."""
-        st = self.base.structure
-        return [
-            k for k in self.horizon_line_ids
-            if not st.set_perp(st.line_masks[k]) & self.proper_mask
-        ]
+        perps = self.base.line_perps
+        return [k for k in self.horizon_line_ids if not perps[k] & self.proper_mask]
 
     # -- the two guaranteed searches -----------------------------------------
 

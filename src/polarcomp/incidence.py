@@ -62,10 +62,7 @@ class IncidenceStructure:
                 self._lines_at[p].append(i)
                 adj[p] |= m
         self.adj = adj
-        # Lines in reverse, so the first line through a pair wins.
-        self._pair_line: dict[tuple[int, int], int] = {
-            pair: i for i in range(len(norm) - 1, -1, -1) for pair in combinations(norm[i], 2)
-        }
+        self._pair_line: dict[tuple[int, int], int] | None = None
 
     # -- basic incidence -------------------------------------------------
 
@@ -81,6 +78,12 @@ class IncidenceStructure:
         """Id of a line through two distinct points, or None."""
         if a == b:
             raise ValueError("need two distinct points")
+        if self._pair_line is None:  # built on first use: most structures never ask
+            # Lines in reverse, so the first line through a pair wins.
+            self._pair_line = {
+                pair: i for i, line in reversed(list(enumerate(self.lines)))
+                for pair in combinations(line, 2)
+            }
         key = (a, b) if a < b else (b, a)
         return self._pair_line.get(key)
 

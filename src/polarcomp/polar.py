@@ -294,11 +294,13 @@ class PolarSpace:
         points: list[tuple[int, ...]],
         structure: IncidenceStructure,
         rank: int,
+        line_perps: list[int],
     ):
         self.form = form
         self.points = points
         self.structure = structure
         self.rank = rank
+        self.line_perps = line_perps  # L^⊥ of each line, in line order
         self.ambient_dim = form.dim - 1
         self._planes: list[int] | None = None
         self._plane_lines: list[tuple[int, ...]] = []
@@ -316,18 +318,19 @@ class PolarSpace:
         # j sharing the key perp(i) & perp(j) = L's perp (L^⊥⊥ = L when
         # nondegenerate); groups follow their least points, so lines come sorted.
         joined = [1 << i for i in range(len(pts))]
-        lines = []
+        lines, line_perps = [], []
         perps = list(_sections(field, pts, (form.perp_covector(p) for p in pts)))
         for i, perp in enumerate(perps):
             groups: dict[int, list[int]] = {}
             for j in bits(perp & ~joined[i] & ~((2 << i) - 1)):
                 groups.setdefault(perp & perps[j], []).append(j)
-            for g in groups.values():
+            for key, g in groups.items():
                 if len(g) != field.q:
                     raise ConfigurationError(
                         f"degenerate space: points {i} and {g[0]} span no line of {field.q + 1} points"
                     )
                 lines.append((i, *g))
+                line_perps.append(key)
                 m = mask_of(lines[-1])
                 for p in g:
                     joined[p] |= m
@@ -337,7 +340,7 @@ class PolarSpace:
                 raise ConfigurationError(
                     f"degenerate space: point {p} is collinear with every point"
                 )
-        return cls(form, pts, st, compute_rank(st))
+        return cls(form, pts, st, compute_rank(st), line_perps)
 
     def singular_planes(self) -> list[int]:
         """Masks of all singular planes in lexicographic point order, empty

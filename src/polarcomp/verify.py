@@ -80,16 +80,28 @@ def find_isomorphism(a: IncidenceStructure, b: IncidenceStructure) -> dict[int, 
         color_mask[cb[v]] = color_mask.get(cb[v], 0) | 1 << v
 
     # Static assignment order: most-constrained first, preferring points
-    # attached to already-ordered ones.
+    # attached to already-ordered ones.  buckets[c] holds the unplaced points
+    # with c ordered neighbours as bits over their (class size, id) ranks, so
+    # the next point is the lowest bit of the highest nonempty bucket.
+    by_rank = sorted(range(a.n_points), key=lambda p: (class_size[ca[p]], p))
+    rank = {p: r for r, p in enumerate(by_rank)}
     attached = [0] * a.n_points
-    unplaced = set(range(a.n_points))
+    buckets = [(1 << a.n_points) - 1] + [0] * a.n_points
+    top = placed = 0
     order: list[int] = []
     for _ in range(a.n_points):
-        best = min(unplaced, key=lambda p: (-attached[p], class_size[ca[p]], p))
+        while not buckets[top]:
+            top -= 1
+        low = buckets[top] & -buckets[top]
+        buckets[top] ^= low
+        best = by_rank[low.bit_length() - 1]
         order.append(best)
-        unplaced.discard(best)
-        for q in bits(a.adj[best]):
+        placed |= 1 << best
+        for q in bits(a.adj[best] & ~placed):
             attached[q] += 1
+            buckets[attached[q] - 1] ^= 1 << rank[q]
+            buckets[attached[q]] |= 1 << rank[q]
+        top += 1  # a moved neighbour may now top the buckets
 
     pos = {p: i for i, p in enumerate(order)}
     # Lines become checkable once their last point (in assignment order) maps.

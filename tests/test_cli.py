@@ -342,6 +342,22 @@ def test_run_builds_parallelism_at_most_once(tmp_path, monkeypatch, horizon, tas
     )
 
 
+@pytest.mark.parametrize("form, horizon", [("q+:5:2", "point 0"), ("q-:7:2", "line 0")])
+def test_complement_task_enumerates_no_plane(form, horizon, tmp_path, monkeypatch):
+    """The complement task counts planes from the line perps: with the plane
+    walk broken it still exits 0 and writes the same ``complement.json``."""
+    argv = ["run", "--form", form, "--horizon", horizon, "--tasks", "axioms,complement"]
+    assert run_cli(*argv, "--out", str(tmp_path / "walk")) == 0
+
+    def no_walk(st):
+        raise AssertionError("singular planes enumerated")
+
+    monkeypatch.setattr(polar_module, "_plane_lines", no_walk)
+    assert run_cli(*argv, "--out", str(tmp_path / "counted")) == 0
+    expected = (tmp_path / "walk" / "complement.json").read_bytes()
+    assert (tmp_path / "counted" / "complement.json").read_bytes() == expected
+
+
 def test_run_determinism(tmp_path):
     args = ("run", "--form", "q+:5:2", "--horizon", "line 0", "--seed", "0")
     d1, d2 = tmp_path / "a", tmp_path / "b"

@@ -1,18 +1,25 @@
 """Complements: proper points and lines, horizon data, searches, resolver."""
 
+import copy
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from polarcomp import (
+    GF,
     Complement,
     HorizonRefusal,
+    IntegrityError,
     LemmaFalsified,
     Parallelism,
     Run,
     build_complement,
+    build_polar,
+    hyperbolic_form,
     resolve_horizon,
 )
+from polarcomp.complement import horizon_atoms
 from polarcomp.incidence import bits, mask_of
 from oracles import (
     affine_plane_horizon,
@@ -206,6 +213,73 @@ def test_plane_lines_match_scan_oracle(space, spec, request):
     dropped = drop_proper_line(comp, k)
     rows = [dropped.plane_lines(pi) for pi in range(len(dropped.planes()))]
     assert rows == [tuple(bits(m)) for m in plane_lines_scan(dropped)]
+
+
+def _counted(comp):
+    return len(comp.planes()), len(comp.semiaffine_planes())
+
+
+@pytest.mark.parametrize("space", ["sp62", "q52"])
+def test_plane_counts_match_enumeration_on_every_atom(space, request):
+    """Counts read from the line perps equal the enumerated planes on every
+    point, line, plane and perp horizon that the complement accepts."""
+    ps = request.getfixturevalue(space)
+    seen = 0
+    for kind in ("point", "line", "plane", "perp"):
+        for h in horizon_atoms(ps, kind):
+            try:
+                comp = build_complement(ps, h)
+            except HorizonRefusal:
+                continue
+            assert comp.plane_counts() == _counted(comp), (kind, h)
+            seen += 1
+    assert seen > 200
+
+
+LARGE_COUNT_CASES = [
+    ("herm54", "line 0"),
+    ("sp82", "point 0"),
+    ("q63", "meet perp 0 perp 1"),
+    ("sp63", "perp 0"),
+    ("qm72", "line 0"),
+    ("q62", ""),
+]
+
+
+@pytest.mark.parametrize("space,spec", LARGE_COUNT_CASES)
+def test_plane_counts_match_enumeration_beyond_order_two(space, spec, request):
+    ps = request.getfixturevalue(space)
+    comp = build_complement(ps, resolve_horizon(ps, spec))
+    assert comp.plane_counts() == _counted(comp)
+
+
+def test_plane_counts_match_enumeration_on_a_rank_four_order_three_space():
+    ps = build_polar(hyperbolic_form(7, GF(3)))
+    st = ps.structure
+    assert ps.line_perps == [st.set_perp(m) for m in st.line_masks]
+    comp = build_complement(ps, resolve_horizon(ps, "point 0"))
+    n_planes, n_semiaffine = comp.plane_counts()
+    assert (n_planes, n_semiaffine) == _counted(comp)
+    assert n_planes == 44800
+
+
+@pytest.mark.parametrize("space", ["sp62", "q52", "herm54", "sp82", "q63", "sp63", "qm72"])
+def test_line_perps_are_the_perps_of_the_lines(space, request):
+    ps = request.getfixturevalue(space)
+    st = ps.structure
+    assert ps.line_perps == [st.set_perp(m) for m in st.line_masks]
+
+
+def test_plane_counts_refuse_a_perp_that_is_no_union_of_planes(sp62):
+    """A perp short of one point covers no whole number of planes: the count
+    raises rather than rounding."""
+    comp = build_complement(sp62, 1 << 0)
+    perps = list(sp62.line_perps)
+    perps[0] &= perps[0] - 1
+    comp.base = copy.copy(sp62)
+    comp.base.line_perps = perps
+    with pytest.raises(IntegrityError, match="not a multiple"):
+        comp.plane_counts()
 
 
 def test_plane_horizon_sizes_on_a_line_horizon(comp_line):

@@ -7,6 +7,7 @@ import json
 import random
 import sys
 import time
+from collections import Counter
 
 import pytest
 
@@ -24,7 +25,7 @@ from polarcomp import (
 )
 from polarcomp.incidence import bits
 from polarcomp.reconstruct import reconstruct
-from polarcomp.verify import CheckResult, _horizon_collinear
+from polarcomp.verify import CheckResult, _horizon_collinear, _joint_colors
 from oracles import (
     class_equiv,
     drop_proper_line,
@@ -181,6 +182,19 @@ def test_forcing_keeps_the_first_mapping(sp62, q52, q62, q53, par_point, par_lin
     for a, b in pairs:
         m = find_isomorphism(a, b)
         assert m is not None and m == unforced_isomorphism(a, b)
+
+
+def test_static_order_ties_break_on_class_size(sp62):
+    """Less one line, ``sp:6:2`` refines into color classes of different
+    sizes, so the static order's tie-break on class size decides the order;
+    the first mapping is still the unforced search's, in either order."""
+    st = sp62.structure
+    a = IncidenceStructure(st.n_points, st.lines[1:])
+    b = relabel(a, 5)[1]
+    assert len(set(Counter(_joint_colors(a, b)[0]).values())) >= 2
+    for x, y in ((a, b), (b, a)):
+        m = find_isomorphism(x, y)
+        assert m is not None and m == unforced_isomorphism(x, y)
 
 
 # ---------------------------------------------------------------------------
