@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterable, Iterator
-from itertools import combinations
 
 __all__ = ["bits", "mask_of", "IncidenceStructure", "is_isomorphism"]
 
@@ -62,7 +61,6 @@ class IncidenceStructure:
                 self._lines_at[p].append(i)
                 adj[p] |= m
         self.adj = adj
-        self._pair_line: dict[tuple[int, int], int] | None = None
 
     # -- basic incidence -------------------------------------------------
 
@@ -73,19 +71,6 @@ class IncidenceStructure:
     def collinear(self, a: int, b: int) -> bool:
         """True iff ``a == b`` or some line carries both points."""
         return bool((self.adj[a] >> b) & 1)
-
-    def line_through(self, a: int, b: int) -> int | None:
-        """Id of a line through two distinct points, or None."""
-        if a == b:
-            raise ValueError("need two distinct points")
-        if self._pair_line is None:  # built on first use: most structures never ask
-            # Lines in reverse, so the first line through a pair wins.
-            self._pair_line = {
-                pair: i for i, line in reversed(list(enumerate(self.lines)))
-                for pair in combinations(line, 2)
-            }
-        key = (a, b) if a < b else (b, a)
-        return self._pair_line.get(key)
 
     # -- perps and radicals ------------------------------------------------
 

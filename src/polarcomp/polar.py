@@ -30,7 +30,7 @@ __all__ = [
     "check_polar_axioms",
 ]
 
-MAX_VECTOR_DIM = 8
+MAX_VECTOR_DIM = 10
 # Largest projective space whose points are enumerated (PG(7,3) has 3,280).
 MAX_PG_POINTS = 1 << 14
 
@@ -249,13 +249,14 @@ def compute_rank(st: IncidenceStructure) -> int:
         rank += 1
 
 
-def _plane_lines(st: IncidenceStructure) -> dict[int, tuple[int, ...]]:
+def _plane_lines(ps: "PolarSpace") -> dict[int, tuple[int, ...]]:
     """Each singular plane's mask with its ascending line ids, each plane built
     once: from the first line in it, through the points of that line's perp
     that no plane found through the line covers (such planes meet only in it).
     That line holds the plane's two least points, and the planes on one line
     follow their least points off it, so the keys are in lexicographic order."""
-    lines, line_masks, adj, line_through = st.lines, st.line_masks, st.adj, st.line_through
+    st, line_through = ps.structure, ps.line_through
+    lines, line_masks, adj = st.lines, st.line_masks, st.adj
     covered = list(line_masks)
     found = {}
     for li, (lm, on) in enumerate(zip(line_masks, lines)):
@@ -304,6 +305,7 @@ class PolarSpace:
         self.ambient_dim = form.dim - 1
         self._planes: list[int] | None = None
         self._plane_lines: list[tuple[int, ...]] = []
+        self._line_of_perp: dict[int, int] | None = None
 
     @classmethod
     def from_form(cls, form: FormSpec) -> "PolarSpace":
@@ -342,11 +344,23 @@ class PolarSpace:
                 )
         return cls(form, pts, st, compute_rank(st), line_perps)
 
+    def line_through(self, a: int, b: int) -> int | None:
+        """Id of the line through two distinct points, or None.  ``adj[a] &
+        adj[b]`` is ``{a, b}^⊥``: the perp of their line when they are
+        collinear, and no line's perp otherwise, since ``{a, b}^⊥⊥`` holds
+        both points and a line is its perp's perp."""
+        if a == b:
+            raise ValueError("need two distinct points")
+        if self._line_of_perp is None:  # built on first use: most runs never ask
+            self._line_of_perp = {perp: k for k, perp in enumerate(self.line_perps)}
+        adj = self.structure.adj
+        return self._line_of_perp.get(adj[a] & adj[b])
+
     def singular_planes(self) -> list[int]:
         """Masks of all singular planes in lexicographic point order, empty
         when the rank is below 3."""
         if self._planes is None:
-            found = _plane_lines(self.structure) if self.rank >= 3 else {}
+            found = _plane_lines(self) if self.rank >= 3 else {}
             self._planes = list(found)
             self._plane_lines = list(found.values())
         return self._planes

@@ -174,9 +174,8 @@ def _timed(check_id: str, fn) -> CheckResult:
 
 def _horizon_line_between(comp: Complement, d1: int, d2: int) -> int | None:
     """Base id of the line through two horizon points if it lies in the horizon."""
-    st = comp.base.structure
-    li = None if d1 == d2 else st.line_through(d1, d2)
-    if li is None or st.line_masks[li] & ~comp.horizon:
+    li = None if d1 == d2 else comp.base.line_through(d1, d2)
+    if li is None or comp.base.structure.line_masks[li] & ~comp.horizon:
         return None
     return li
 

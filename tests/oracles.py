@@ -114,6 +114,13 @@ def lines_in(st, xs):
     return [i for i, m in enumerate(st.line_masks) if not m & ~xs]
 
 
+def line_through_scan(st, a, b):
+    """First line in id order that holds both points, else None."""
+    if not st.collinear(a, b):
+        return None
+    return next(i for i in st.lines_at(a) if (st.line_masks[i] >> b) & 1)
+
+
 def drop_proper_line(c, k):
     """A copy of the complement with proper line ``k`` deleted from the base:
     the fault injector for checks that must notice a missing line."""

@@ -187,7 +187,7 @@ def test_criterion_08_deep_line_equivalence(suite_configs, comp_q53_lperp, par_q
         for c1 in range(par.n_classes):
             for c2 in range(c1 + 1, par.n_classes):
                 total += 1
-                li = (st.line_through(dirs[c1], dirs[c2])
+                li = (comp.base.line_through(dirs[c1], dirs[c2])
                       if st.collinear(dirs[c1], dirs[c2]) else None)
                 expected = li is not None and li in deep
                 if par.equiv(c1, c2) != expected:
@@ -208,7 +208,7 @@ def test_criterion_09_ternary_collinearity(suite_configs, comp_q53_lperp, par_q5
         dirs = class_directions(comp, par)
         for c1, c2, c3 in itertools.combinations(range(nc), 3):
             total += 1
-            line = (st.line_through(dirs[c1], dirs[c2])
+            line = (comp.base.line_through(dirs[c1], dirs[c2])
                     if st.collinear(dirs[c1], dirs[c2]) else None)
             ground = line is not None and (st.line_masks[line] >> dirs[c3]) & 1
             if par.ternary_collinear(c1, c2, c3) != bool(ground):

@@ -349,7 +349,7 @@ def test_complement_task_enumerates_no_plane(form, horizon, tmp_path, monkeypatc
     argv = ["run", "--form", form, "--horizon", horizon, "--tasks", "axioms,complement"]
     assert run_cli(*argv, "--out", str(tmp_path / "walk")) == 0
 
-    def no_walk(st):
+    def no_walk(ps):
         raise AssertionError("singular planes enumerated")
 
     monkeypatch.setattr(polar_module, "_plane_lines", no_walk)
@@ -426,6 +426,19 @@ def test_run_larger_space_full_pipeline(tmp_path):
     comp = read(out / "complement.json")
     assert comp["n_planes"] == 1120
     assert comp["n_proper_points"] == 363
+    assert read(out / "lemma_battery.json")["failed"] == 0
+    ver = read(out / "verification.json")
+    assert ver["canonical_isomorphism"] is True
+    assert ver["independent_search"]["found"] is True
+
+
+def test_run_rank_five_full_pipeline(tmp_path):
+    """q+:9:2 (PG(9,2), 527 points) is the smallest rank-5 space under the
+    vector-dimension cap."""
+    out = tmp_path / "q92"
+    assert run_cli("run", "--form", "q+:9:2", "--horizon", "point 0", "--out", str(out)) == 0
+    axioms = read(out / "axioms.json")
+    assert axioms["all_ok"] is True and axioms["rank"] == 5
     assert read(out / "lemma_battery.json")["failed"] == 0
     ver = read(out / "verification.json")
     assert ver["canonical_isomorphism"] is True

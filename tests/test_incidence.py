@@ -51,25 +51,12 @@ def test_lines_are_sorted_tuples():
     assert st.line_masks == [mask_of([0, 1, 3])]
 
 
-def test_collinear_and_line_through(fano, path2):
+def test_collinear(fano, path2):
     for a in range(7):
         assert fano.collinear(a, a)
         for b in range(7):
             assert fano.collinear(a, b)
-    assert fano.line_through(0, 1) == 0
-    assert fano.line_through(6, 2) == 5
-    with pytest.raises(ValueError):
-        fano.line_through(3, 3)
-    assert path2.line_through(0, 3) is None
     assert not path2.collinear(0, 3)
-
-
-def test_first_line_through_a_pair_wins():
-    # a corrupted structure: two lines share the pair (0, 1)
-    st = IncidenceStructure(5, [(0, 1, 2), (0, 1, 3)])
-    assert st.line_through(0, 1) == 0
-    assert st.line_through(1, 0) == 0
-    assert st.line_through(1, 3) == 1
 
 
 def test_perp_and_set_perp(path2):

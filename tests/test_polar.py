@@ -6,6 +6,7 @@ enumeration code.
 """
 
 import functools
+import itertools
 
 import pytest
 
@@ -32,6 +33,7 @@ from polarcomp.polar import _one_or_all_witness, _partial_linear_witness
 from oracles import (
     form_lines,
     hyperplane_sections,
+    line_through_scan,
     lines_in,
     one_or_all_scan,
     pair_perp,
@@ -137,20 +139,35 @@ def test_singular_plane_lines_match_lines_in(desc):
     assert ps.singular_plane_lines() == [tuple(lines_in(st, m)) for m in ps.singular_planes()]
 
 
+@pytest.mark.parametrize("desc", ["sp:6:2", "q+:5:3", "q-:7:2", "herm:5:4", "sp:8:2"])
+def test_line_through_matches_scan(desc):
+    """The line read from ``{a, b}^⊥`` is the first line holding both points,
+    and None for a noncollinear pair, in either order."""
+    ps = _space(desc)
+    st = ps.structure
+    wrong = [
+        (a, b) for a, b in itertools.combinations(range(st.n_points), 2)
+        if not ps.line_through(a, b) == ps.line_through(b, a) == line_through_scan(st, a, b)
+    ]
+    assert wrong == []
+    with pytest.raises(ValueError):
+        ps.line_through(3, 3)
+
+
 def test_singular_planes_build_each_plane_once(monkeypatch):
     """Each of the 80 planes of q+:5:3 is built once with its 13 lines: at
     most 17 ``line_through`` calls per plane (4160 when a plane was rebuilt
     from each of its lines)."""
     ps = PolarSpace.from_form(parse_form("q+:5:3"))
     calls = 0
-    line_through = IncidenceStructure.line_through
+    line_through = PolarSpace.line_through
 
     def counting(self, a, b):
         nonlocal calls
         calls += 1
         return line_through(self, a, b)
 
-    monkeypatch.setattr(IncidenceStructure, "line_through", counting)
+    monkeypatch.setattr(PolarSpace, "line_through", counting)
     assert len(ps.singular_planes()) == 80
     assert calls <= 80 * 17
 
@@ -279,7 +296,7 @@ def test_form_constructor_validation(gf2, gf3):
     with pytest.raises(ConfigurationError):
         hermitian_form(3, gf3)  # no quadratic subfield
     with pytest.raises(ConfigurationError):
-        symplectic_form(10, gf2)  # above the vector-dimension cap
+        symplectic_form(12, gf2)  # above the vector-dimension cap
     with pytest.raises(ConfigurationError):
         FormSpec("weird", gf2, 4, ((0,),))
 

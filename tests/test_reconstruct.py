@@ -400,7 +400,7 @@ def test_q53_ternary_against_ground(comp_q53_lperp, par_q53, q53):
     for a in range(0, 22, 3):
         for b in range(a + 1, 22, 2):
             for c in range(b + 1, 22):
-                line = st.line_through(dirs[a], dirs[b]) if st.collinear(dirs[a], dirs[b]) else None
+                line = comp_q53_lperp.base.line_through(dirs[a], dirs[b]) if st.collinear(dirs[a], dirs[b]) else None
                 ground = line is not None and (st.line_masks[line] >> dirs[c]) & 1
                 checked += 1
                 if par_q53.ternary_collinear(a, b, c) != bool(ground):

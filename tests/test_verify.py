@@ -426,7 +426,7 @@ def test_equiv_triples_walk_matches_oracle(comp_q53_lperp, par_q53):
     dirs = [comp_q53_lperp.point_at_infinity(members[0]) for members in par.classes]
 
     def collinear(a, b, c):
-        line = st.line_through(dirs[a], dirs[b])
+        line = comp_q53_lperp.base.line_through(dirs[a], dirs[b])
         return line is not None and (st.line_masks[line] >> dirs[c]) & 1
 
     expected = next(
