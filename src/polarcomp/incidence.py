@@ -42,24 +42,26 @@ class IncidenceStructure:
         self.full_mask = (1 << n_points) - 1
         norm: list[tuple[int, ...]] = []
         masks: list[int] = []
-        for line in lines:
+        self._lines_at: list[list[int]] = [[] for _ in range(n_points)]
+        adj = [1 << p for p in range(n_points)]
+        for i, line in enumerate(lines):
             pts = tuple(sorted(line))
             if len(pts) < 2:
                 raise ValueError(f"line {pts} has fewer than 2 points")
-            if len(set(pts)) != len(pts):
-                raise ValueError(f"line {pts} repeats a point")
             if pts[0] < 0 or pts[-1] >= n_points:
                 raise ValueError(f"line {pts} has out-of-range points")
-            norm.append(pts)
-            masks.append(mask_of(pts))
-        self.lines = norm
-        self.line_masks = masks
-        self._lines_at: list[list[int]] = [[] for _ in range(n_points)]
-        adj = [1 << p for p in range(n_points)]
-        for i, m in enumerate(masks):
-            for p in norm[i]:
+            m = 0
+            for p in pts:
+                m |= 1 << p
+            if m.bit_count() != len(pts):
+                raise ValueError(f"line {pts} repeats a point")
+            for p in pts:
                 self._lines_at[p].append(i)
                 adj[p] |= m
+            norm.append(pts)
+            masks.append(m)
+        self.lines = norm
+        self.line_masks = masks
         self.adj = adj
 
     # -- basic incidence -------------------------------------------------
@@ -87,15 +89,17 @@ class IncidenceStructure:
     # -- subspaces ---------------------------------------------------------
 
     def closure_of(self, xs: int) -> int:
-        """Least superset containing every line that meets it twice."""
-        cur = xs
-        changed = True
-        while changed:
-            changed = False
-            for m in self.line_masks:
+        """Least superset containing every line that meets it twice.  Only a
+        line through a newly added point can newly meet the set twice."""
+        cur = todo = xs
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            for i in self._lines_at[low.bit_length() - 1]:
+                m = self.line_masks[i]
                 if m & ~cur and (m & cur).bit_count() >= 2:
+                    todo |= m & ~cur
                     cur |= m
-                    changed = True
         return cur
 
     def is_subspace(self, xs: int) -> bool:

@@ -10,11 +10,11 @@ indexed deterministically by the order of :func:`polarcomp.algebra.pg_points`.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 
 from .algebra import GF, pg_points
 from .errors import ConfigurationError
-from .incidence import IncidenceStructure, bits, mask_of
+from .incidence import IncidenceStructure, bits
 
 __all__ = [
     "FormSpec",
@@ -61,15 +61,14 @@ class FormSpec:
     def quad_value(self, v: Sequence[int]) -> int:
         if self.quad is None:
             raise ValueError(f"{self.kind} form has no quadratic part")
-        f = self.field
+        add, mul = self.field._add, self.field._mul
         acc = 0
-        for i in range(self.dim):
-            if v[i] == 0:
-                continue
-            for j in range(i, self.dim):
-                c = self.quad[i][j]
-                if c and v[j]:
-                    acc = f.add(acc, f.mul(c, f.mul(v[i], v[j])))
+        for i, row in enumerate(self.quad):
+            vi = v[i]
+            if vi:
+                for c, vj in zip(row[i:], v[i:]):
+                    if c and vj:
+                        acc = add[acc][mul[c][mul[vi][vj]]]
         return acc
 
     def vec_singular(self, v: Sequence[int]) -> bool:
@@ -78,9 +77,10 @@ class FormSpec:
             return True
         if self.kind in QUADRATIC_KINDS:
             return self.quad_value(v) == 0
+        add, mul = self.field._add, self.field._mul
         acc = 0
         for c, x in zip(self.perp_covector(v), v):
-            acc = self.field.add(acc, self.field.mul(c, x))
+            acc = add[acc][mul[c][x]]
         return acc == 0
 
     def perp_covector(self, u: Sequence[int]) -> tuple[int, ...]:
@@ -89,14 +89,16 @@ class FormSpec:
         It is ``u·G``, conjugated for hermitian forms (whose Gram product
         conjugates its right argument).
         """
-        f = self.field
-        cov = []
-        for j in range(self.dim):
-            acc = 0
-            for ui, row in zip(u, self.gram):
-                if ui and row[j]:
-                    acc = f.add(acc, f.mul(ui, row[j]))
-            cov.append(f.conj(acc) if self.kind == "hermitian" else acc)
+        add, mul = self.field._add, self.field._mul
+        cov = [0] * self.dim
+        for ui, row in zip(u, self.gram):
+            if ui:
+                mu = mul[ui]
+                for j, g in enumerate(row):
+                    if g:
+                        cov[j] = add[cov[j]][mu[g]]
+        if self.kind == "hermitian":
+            return tuple(map(self.field.conj, cov))
         return tuple(cov)
 
 
@@ -205,47 +207,77 @@ def hermitian_form(pdim: int, field: GF) -> FormSpec:
     return FormSpec("hermitian", field, pdim + 1, tuple(tuple(r) for r in g))
 
 
-def _sections(
-    field: GF, pts: list[tuple[int, ...]], covectors: Iterable[Sequence[int]]
-) -> Iterator[int]:
-    """Masks of the points ``x`` with ``sum c_j x_j == 0``, one per covector ``c``:
-    masks of the points with ``x_j = v`` fold partial-sum masks one coordinate
-    at a time, about dim * q**2 mask operations per covector."""
-    value = [[0] * field.q for _ in range(len(pts[0]))]
-    for i, pt in enumerate(pts):
-        for j, x in enumerate(pt):
-            value[j][x] |= 1 << i
-    for cov in covectors:
-        partial = [(1 << len(pts)) - 1] + [0] * (field.q - 1)
-        for c, col in zip(cov, value):
-            if c:
-                step = [0] * field.q
-                for v, m in enumerate(col):
-                    cv = field.mul(c, v)
-                    for s, pm in enumerate(partial):
-                        if pm & m:
-                            step[field.add(s, cv)] |= pm & m
-                partial = step
-        yield partial[0]
+def _partial_sections(field: GF, cols: list[list[int]], full: int) -> list[list[int]]:
+    """Entry ``a``, a covector on the coordinates of ``cols`` read as base-q
+    digits, the first most significant: the masks of the points ``x`` with
+    ``sum a_j x_j == v`` for each ``v``, where ``cols[j][v]`` masks ``x_j == v``."""
+    add, mul, q = field._add, field._mul, field.q
+    table = [[full] + [0] * (q - 1)]
+    for col in cols:  # one more coordinate: q**2 mask ops per entry
+        grown = []
+        for entry in table:
+            for c in range(q):
+                step = [0] * q
+                for v, cm in enumerate(col):
+                    shift = add[mul[c][v]]
+                    for s, em in enumerate(entry):
+                        step[shift[s]] |= em & cm
+                grown.append(step)
+        table = grown
+    return table
+
+
+class _SectionTable:
+    """Hyperplane sections of a point list, met in the middle: the covector
+    ``c = (a, b)``, split at coordinate ``dim // 2``, cuts out the union over
+    ``v`` of head ``a`` at ``v`` and tail ``b`` at ``-v``, ``q`` ANDs.  Its id
+    is its base-q digits, the first most significant."""
+
+    def __init__(self, field: GF, pts: list[tuple[int, ...]]):
+        q, dim = field.q, len(pts[0])
+        cols = [[0] * q for _ in range(dim)]
+        for i, pt in enumerate(pts):
+            for col, x in zip(cols, pt):
+                col[x] |= 1 << i
+        full = (1 << len(pts)) - 1
+        self.q, self.split = q, q ** (dim - dim // 2)
+        self.head = _partial_sections(field, cols[: dim // 2], full)
+        tail = _partial_sections(field, cols[dim // 2 :], full)
+        self.tail = [[e[v] for v in field._neg] for e in tail]
+        # the ids of pg_points(field, dim - 1) in its order: a leading 1, then any digits
+        self.projective = [c for e in range(dim) for c in range(q**e, 2 * q**e)]
+
+    def id_of(self, cov: Sequence[int]) -> int:
+        c = 0
+        for x in cov:
+            c = c * self.q + x
+        return c
+
+    def __getitem__(self, c: int) -> int:
+        a, b = divmod(c, self.split)
+        m = 0
+        for x, y in zip(self.head[a], self.tail[b]):
+            m |= x & y
+        return m
 
 
 def compute_rank(st: IncidenceStructure) -> int:
     """Length of a maximal chain of nonempty singular subspaces.
 
-    Greedy extension: starting from a point, repeatedly adjoin a point
-    collinear with everything collected so far and close up.  In a polar
-    space all maximal singular subspaces share one dimension, so the greedy
-    chain is maximal.
+    Greedy extension: starting from a point, repeatedly adjoin the least
+    point collinear with everything collected so far and close up.  In a
+    polar space all maximal singular subspaces share one dimension, so the
+    greedy chain is maximal.
     """
     if st.n_points == 0:
         return 0
     cur = 1
     rank = 1
     while True:
-        found = next((x for x in bits(st.full_mask & ~cur) if not cur & ~st.adj[x]), None)
-        if found is None:
+        nxt = st.set_perp(cur) & ~cur
+        if not nxt:
             return rank
-        cur = st.closure_of(cur | (1 << found))
+        cur = st.closure_of(cur | (nxt & -nxt))
         rank += 1
 
 
@@ -296,12 +328,14 @@ class PolarSpace:
         structure: IncidenceStructure,
         rank: int,
         line_perps: list[int],
+        sections: _SectionTable,
     ):
         self.form = form
         self.points = points
         self.structure = structure
         self.rank = rank
         self.line_perps = line_perps  # L^⊥ of each line, in line order
+        self.sections = sections
         self.ambient_dim = form.dim - 1
         self._planes: list[int] | None = None
         self._plane_lines: list[tuple[int, ...]] = []
@@ -321,7 +355,8 @@ class PolarSpace:
         # nondegenerate); groups follow their least points, so lines come sorted.
         joined = [1 << i for i in range(len(pts))]
         lines, line_perps = [], []
-        perps = list(_sections(field, pts, (form.perp_covector(p) for p in pts)))
+        sections = _SectionTable(field, pts)
+        perps = [sections[sections.id_of(form.perp_covector(p))] for p in pts]
         for i, perp in enumerate(perps):
             groups: dict[int, list[int]] = {}
             for j in bits(perp & ~joined[i] & ~((2 << i) - 1)):
@@ -333,7 +368,9 @@ class PolarSpace:
                     )
                 lines.append((i, *g))
                 line_perps.append(key)
-                m = mask_of(lines[-1])
+                m = 1 << i
+                for p in g:
+                    m |= 1 << p
                 for p in g:
                     joined[p] |= m
         st = IncidenceStructure(len(pts), lines)
@@ -342,7 +379,7 @@ class PolarSpace:
                 raise ConfigurationError(
                     f"degenerate space: point {p} is collinear with every point"
                 )
-        return cls(form, pts, st, compute_rank(st), line_perps)
+        return cls(form, pts, st, compute_rank(st), line_perps, sections)
 
     def line_through(self, a: int, b: int) -> int | None:
         """Id of the line through two distinct points, or None.  ``adj[a] &
@@ -372,16 +409,11 @@ class PolarSpace:
 
     def hyperplane_candidates(self, over: int = 0) -> list[int]:
         """Ambient-hyperplane sections over the point set ``over``, deduplicated,
-        in covector order: only the covectors vanishing on ``over``, which the
-        dual sections pick out, are folded.  ``p``'s perp is the section of the
-        covector ``form.perp_covector(p)``."""
-        f = self.form.field
-        covectors = pg_points(f, self.form.dim - 1)
-        keep = (1 << len(covectors)) - 1
-        for m in _sections(f, covectors, [self.points[x] for x in bits(over)]):
-            keep &= m
-        sections = _sections(f, self.points, [covectors[c] for c in bits(keep)])
-        return list(dict.fromkeys(m for m in sections if m != self.structure.full_mask))
+        in covector order.  ``p``'s perp is the section of the covector
+        ``form.perp_covector(p)``."""
+        full, table = self.structure.full_mask, self.sections
+        sections = (table[c] for c in table.projective)
+        return list(dict.fromkeys(m for m in sections if m != full and not over & ~m))
 
     def __repr__(self) -> str:
         return (
@@ -441,18 +473,23 @@ def _partial_linear_witness(
 
 
 def _one_or_all_witness(st: IncidenceStructure) -> dict | None:
-    for i, m in enumerate(st.line_masks):
-        # Points collinear with at least one, at least two and all points of the line.
-        once = twice = 0
-        every = st.full_mask
-        for p in st.lines[i]:
-            twice |= once & st.adj[p]
-            once |= st.adj[p]
-            every &= st.adj[p]
-        bad = st.full_mask & ~m & (~once | (twice & ~every))
-        if bad:
-            a = (bad & -bad).bit_length() - 1
-            return {"point": a, "line": i, "collinear_count": (st.adj[a] & m).bit_count()}
+    """First line, and least point off it, collinear with neither one nor all
+    of its points.  The perps of a line's ``k`` points hold its points ``k``
+    times each and every other point 1 or ``k`` times, so once every point is
+    reached, a line is clear iff the sum of their sizes says so."""
+    adj, full, n = st.adj, st.full_mask, st.n_points
+    size = [a.bit_count() for a in adj]
+    for i, (line, m) in enumerate(zip(st.lines, st.line_masks)):
+        once, every, total = 0, full, 0
+        for p in line:
+            once |= adj[p]
+            every &= adj[p]
+            total += size[p]
+        k = len(line)
+        if once != full or total - k * k != n - k + (k - 1) * (every.bit_count() - k):
+            counts = ((a, (adj[a] & m).bit_count()) for a in bits(full & ~m))
+            a, c = next((a, c) for a, c in counts if c not in (1, k))
+            return {"point": a, "line": i, "collinear_count": c}
     return None
 
 
@@ -461,9 +498,13 @@ def check_polar_axioms(obj: "PolarSpace | IncidenceStructure") -> AxiomReport:
     st = obj.structure if isinstance(obj, PolarSpace) else obj
     witnesses: dict = {}
 
-    rows = ((p, st.lines_at(p)) for p in range(st.n_points))
-    pl = _partial_linear_witness(rows, st.line_masks)
-    if pl is not None:
+    # |adj[p]| - 1 is at most the sum of |L| - 1 over the lines L on p, with
+    # equality iff those lines share no second point; summed over p, the
+    # right side is the sum of |L|(|L| - 1), so the scan runs only on a mismatch.
+    pl = None
+    if sum(a.bit_count() - 1 for a in st.adj) != sum(k * (k - 1) for k in map(len, st.lines)):
+        rows = ((p, st.lines_at(p)) for p in range(st.n_points))
+        pl = _partial_linear_witness(rows, st.line_masks)
         witnesses["partial_linear"] = pl
 
     thin = next((i for i, line in enumerate(st.lines) if len(line) < 3), None)

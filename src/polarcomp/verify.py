@@ -200,8 +200,11 @@ def run_lemma_battery(run: Run) -> list[CheckResult]:
     delegated = run.delegated
 
     def check_partial_linear() -> dict | None:
-        rows = ((p, list(bits(comp.lines_at_point(p)))) for p in comp.proper_points)
-        return _partial_linear_witness(rows, comp.line_trace)
+        rows: dict[int, list[int]] = {p: [] for p in comp.proper_points}
+        for k, trace in enumerate(comp.line_trace):
+            for p in bits(trace):
+                rows[p].append(k)
+        return _partial_linear_witness(rows.items(), comp.line_trace)
 
     def check_affine_fibration() -> dict | None:
         w = comp.horizon

@@ -86,22 +86,29 @@ def form_lines(ps):
     return sorted(lines)
 
 
-def hyperplane_sections(ps):
-    """Ambient-hyperplane sections other than the whole space, first occurrence
-    in covector order, each covector evaluated on every point."""
+def covector_sections(ps):
+    """Section of each covector of the ambient space, in covector order: the
+    points ``x`` with ``sum c_j x_j == 0``, each evaluated coordinate by coordinate."""
     f = ps.form.field
+    add, mul = f._add, f._mul
     sections = []
     for cov in pg_points(f, ps.form.dim - 1):
         m = 0
         for i, pt in enumerate(ps.points):
             acc = 0
             for c, x in zip(cov, pt):
-                acc = f.add(acc, f.mul(c, x))
+                acc = add[acc][mul[c][x]]
             if acc == 0:
                 m |= 1 << i
-        if m != ps.structure.full_mask and m not in sections:
-            sections.append(m)
+        sections.append(m)
     return sections
+
+
+def hyperplane_sections(ps):
+    """Ambient-hyperplane sections other than the whole space, first occurrence
+    in covector order."""
+    full = ps.structure.full_mask
+    return list(dict.fromkeys(m for m in covector_sections(ps) if m != full))
 
 
 def is_spiky(st, xs):
@@ -151,6 +158,49 @@ def one_or_all_scan(st):
             if c != 1 and c != size:
                 return {"point": a, "line": i, "collinear_count": c}
     return None
+
+
+def closure_scan(st, xs):
+    """Least superset closed under lines meeting it twice, rescanning every
+    line until nothing changes."""
+    cur = xs
+    changed = True
+    while changed:
+        changed = False
+        for m in st.line_masks:
+            if m & ~cur and (m & cur).bit_count() >= 2:
+                cur |= m
+                changed = True
+    return cur
+
+
+def rank_scan(st):
+    """Greedy chain length: adjoin the first point collinear with the whole
+    set, found point by point, and close up by :func:`closure_scan`."""
+    if st.n_points == 0:
+        return 0
+    cur, rank = 1, 1
+    while True:
+        found = next((x for x in bits(st.full_mask & ~cur) if not cur & ~st.adj[x]), None)
+        if found is None:
+            return rank
+        cur = closure_scan(st, cur | (1 << found))
+        rank += 1
+
+
+def axioms_scan(st):
+    """The axiom report's ``as_dict()``, every axiom checked by a plain scan."""
+    thin = next((i for i, line in enumerate(st.lines) if len(line) < 3), None)
+    deg = next((p for p in range(st.n_points) if st.adj[p] == st.full_mask), None)
+    found = {
+        "partial_linear": partial_linear_scan(st),
+        "thick": None if thin is None else {"line": thin},
+        "nondegenerate": None if deg is None else {"point": deg},
+        "one_or_all": one_or_all_scan(st),
+    }
+    ok = {name: w is None for name, w in found.items()}
+    witnesses = {name: w for name, w in found.items() if w is not None}
+    return {**ok, "rank": rank_scan(st), "witnesses": witnesses, "all_ok": all(ok.values())}
 
 
 def _span3_mask(ps, index, a, b, c):

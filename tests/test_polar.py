@@ -7,6 +7,7 @@ enumeration code.
 
 import functools
 import itertools
+import random
 
 import pytest
 
@@ -31,6 +32,9 @@ from polarcomp.complement import resolve_horizon
 from polarcomp.incidence import bits
 from polarcomp.polar import _one_or_all_witness, _partial_linear_witness
 from oracles import (
+    axioms_scan,
+    closure_scan,
+    covector_sections,
     form_lines,
     hyperplane_sections,
     line_through_scan,
@@ -38,6 +42,7 @@ from oracles import (
     one_or_all_scan,
     pair_perp,
     partial_linear_scan,
+    rank_scan,
     span_planes,
 )
 
@@ -245,6 +250,115 @@ def test_axiom_witnesses_match_oracles(desc):
         assert oa == one_or_all_scan(tampered), name
         assert (pl is not None) == name.startswith("overlap"), name
         assert (oa is None) == (name == "intact"), name
+
+
+@pytest.mark.parametrize("desc", [*ORACLE_SPACES, "herm:5:4", "sp:8:2", "sp:10:2"])
+def test_section_table_matches_direct_evaluation(desc):
+    """The met-in-the-middle table gives every covector's section, and each
+    point's perp read from it is its collinearity row."""
+    ps = _space(desc)
+    table = ps.sections
+    assert [table[c] for c in table.projective] == covector_sections(ps)
+    perps = [table[table.id_of(ps.form.perp_covector(p))] for p in ps.points]
+    assert perps == ps.structure.adj
+
+
+@pytest.mark.parametrize("desc", ["q+:5:3", "herm:5:4"])
+def test_candidates_over_horizons_match_oracle(desc):
+    ps = _space(desc)
+    sections = hyperplane_sections(ps)
+    specs = ["point 0", "point 5", "line 0", "line 7", "plane 0", "perp 0", "meet perp 0 perp 1"]
+    for spec in specs:
+        w = resolve_horizon(ps, spec)
+        assert ps.hyperplane_candidates(w) == [h for h in sections if not w & ~h], spec
+
+
+def _random_sets(st, rnd, count):
+    """Seeded random point sets of one to six points."""
+    return [
+        sum(1 << p for p in rnd.sample(range(st.n_points), rnd.randint(1, 6)))
+        for _ in range(count)
+    ]
+
+
+@pytest.mark.parametrize("desc", ["sp:6:2", "q+:5:3"])
+def test_closure_and_rank_match_line_scan(desc):
+    st = _space(desc).structure
+    dropped = IncidenceStructure(st.n_points, st.lines[1:])
+    rnd = random.Random(desc)
+    for s in (st, dropped):
+        sets = _random_sets(s, rnd, 40) + [s.line_masks[0], s.adj[0], s.adj[0] & s.adj[1]]
+        assert [s.closure_of(xs) for xs in sets] == [closure_scan(s, xs) for xs in sets]
+        assert compute_rank(s) == rank_scan(s)
+
+
+def _tampered_structures(st):
+    """Variants of a space's lines that break its axioms in known ways."""
+    lines = st.lines
+    mid = len(lines) // 2
+    far = [p for p in range(st.n_points) if not st.collinear(0, p)]
+
+    def overlap(i, off):
+        return tuple(sorted((0, next(p for p in lines[i] if p), off)))
+
+    first, middle = st.lines_at(0)[0], st.lines_at(0)[len(st.lines_at(0)) // 2]
+    return {
+        "intact": lines,
+        "overlap first": [overlap(first, far[0]), *lines],
+        "overlap middle": [*lines[:mid], overlap(middle, far[0]), *lines[mid:]],
+        "overlap twice": [
+            *lines[:middle + 1], overlap(middle, far[0]), *lines[middle + 1:],
+            overlap(first, far[1]),
+        ],
+        "dropped first": lines[1:],
+        "dropped middle": lines[:mid] + lines[mid + 1:],
+        "duplicated": [*lines[:mid], lines[mid], *lines[mid:]],
+    }
+
+
+def test_axioms_once_guard_catches_a_balanced_line(sp62):
+    """On line 0, a point ``a`` off it stops seeing its one point ``p`` and
+    another point ``b`` starts seeing a second one.  The perps of the line's
+    points keep their summed sizes and their intersection, so the counting
+    identity balances and only the points reached at all tell."""
+    st = sp62.structure
+    line0, p = st.line_masks[0], st.lines[0][0]
+    sees_one = [x for x in range(st.n_points) if (st.adj[x] & line0).bit_count() == 1]
+    k, a = next((k, x) for k in st.lines_at(p) for x in st.lines[k] if x in sees_one)
+    b = next(x for x in sees_one if x != a)
+    y = next(y for y in st.lines[0] if not (st.adj[b] >> y) & 1)
+    lines = list(st.lines)
+    lines[k] = tuple(x for x in lines[k] if x != a)
+    tampered = IncidenceStructure(st.n_points, [*lines, (b, y)])
+    adj, n = tampered.adj, tampered.n_points
+    assert not adj[a] & line0 and (adj[b] & line0).bit_count() == 2
+    total = sum(adj[x].bit_count() for x in st.lines[0])
+    every = functools.reduce(int.__and__, (adj[x] for x in st.lines[0]))
+    assert total - 9 == n - 3 + 2 * (every.bit_count() - 3)
+    rep = check_polar_axioms(tampered)
+    assert rep.as_dict() == axioms_scan(tampered)
+    assert rep.witnesses["one_or_all"] == {"point": min(a, b), "line": 0, "collinear_count": 0 if a < b else 2}
+
+
+@pytest.mark.parametrize("desc", ORACLE_SPACES)
+def test_axiom_reports_match_plain_scans(desc):
+    st = _space(desc).structure
+    for name, variant in _tampered_structures(st).items():
+        tampered = IncidenceStructure(st.n_points, variant)
+        assert check_polar_axioms(tampered).as_dict() == axioms_scan(tampered), name
+
+
+def test_axiom_reports_match_plain_scans_on_small_variants(sp62):
+    lines = sp62.structure.lines
+    variants = [
+        (63, [(0, 3, 5), *lines[1:]]),
+        (63, lines[1:]),
+        (4, [(0, 1), (2, 3)]),
+        (3, [(0, 1, 2)]),
+    ]
+    for n, variant in variants:
+        st = IncidenceStructure(n, variant)
+        assert check_polar_axioms(st).as_dict() == axioms_scan(st), variant[:2]
 
 
 def test_from_form_builds_each_line_once(gf3, monkeypatch):
