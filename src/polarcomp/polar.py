@@ -288,13 +288,11 @@ def _plane_lines(ps: "PolarSpace") -> dict[int, tuple[int, ...]]:
     That line holds the plane's two least points, and the planes on one line
     follow their least points off it, so the keys are in lexicographic order."""
     st, line_through = ps.structure, ps.line_through
-    lines, line_masks, adj = st.lines, st.line_masks, st.adj
+    lines, line_masks = st.lines, st.line_masks
     covered = list(line_masks)
     found = {}
-    for li, (lm, on) in enumerate(zip(line_masks, lines)):
-        rest = ~covered[li]
-        for p in on:
-            rest &= adj[p]
+    for li, (lm, on, perp) in enumerate(zip(line_masks, lines, ps.line_perps)):
+        rest = perp & ~covered[li]
         while rest:
             # The plane on L and x: L, the spokes from x to the points of L,
             # and at each point of L the lines to the points off L and its spoke.

@@ -103,58 +103,54 @@ def find_isomorphism(a: IncidenceStructure, b: IncidenceStructure) -> dict[int, 
             buckets[attached[q]] |= 1 << rank[q]
         top += 1  # a moved neighbour may now top the buckets
 
-    pos = {p: i for i, p in enumerate(order)}
-    # Lines become checkable once their last point (in assignment order) maps.
-    trigger: list[list[int]] = [[] for _ in range(a.n_points)]
-    for i, line in enumerate(a.lines):
-        trigger[max(line, key=pos.__getitem__)].append(i)
-    b_lines = set(b.lines)
-    b_line_ids = [mask_of(b.lines_at(v)) for v in range(b.n_points)]  # as bitmasks
+    # Bitmasks over b's line ids: the lines through two images are one AND.
+    b_line_ids = [mask_of(b.lines_at(v)) for v in range(b.n_points)]
 
     # Depth-first over candidates in id order, on an explicit stack: left[d]
-    # holds the candidates of order[d] not tried yet, image[p] its choice.
+    # holds the candidates of order[d] not tried yet, want[d] the images of
+    # its placed neighbours, image[p] its choice.  Forcing maps a's lines onto
+    # b's lines only where two points span one line, so a full assignment is
+    # checked once and backtracked from if it is no isomorphism.
     image = [-1] * a.n_points
     used_mask = 0
     left = [0] * a.n_points
+    want = [0] * a.n_points
     depth = 0
-    while 0 <= depth < a.n_points:
+    while depth >= 0:
+        if depth == a.n_points:
+            mapping = dict(enumerate(image))
+            if is_isomorphism(a, b, mapping)[0]:
+                return mapping
+            depth -= 1
+            continue
         p = order[depth]
         if image[p] >= 0:  # back from a dead end below: undo the choice
             used_mask ^= 1 << image[p]
             image[p] = -1
-        else:  # a fresh visit: p's unused color mates; the first line of a on p
-            # and two placed points forces p onto a line of b through their images
+        else:  # a fresh visit: p's unused color mates; each line of a on p with
+            # two placed points forces p onto a line of b through their images
             cands = color_mask[ca[p]] & ~used_mask
+            near = 0
             for li in a.lines_at(p):
                 placed = [image[x] for x in a.lines[li] if image[x] >= 0]
+                near |= mask_of(placed)
                 if len(placed) >= 2:
                     on_xy = b_line_ids[placed[0]] & b_line_ids[placed[1]]
                     cands &= mask_of(v for m in bits(on_xy) for v in b.lines[m])
-                    break
-            left[depth] = cands
-        # Images of p's already-placed neighbours; a candidate must be
-        # adjacent to exactly these among the used images.
-        want = mask_of(image[q] for q in bits(a.adj[p]) if image[q] >= 0)
+            left[depth], want[depth] = cands, near
+        # A candidate is adjacent to exactly want[depth] among the used images.
         while left[depth]:
             low = left[depth] & -left[depth]
             left[depth] ^= low
             v = low.bit_length() - 1
-            if b.adj[v] & used_mask != want:
-                continue
-            image[p] = v
-            if all(tuple(sorted(image[x] for x in a.lines[li])) in b_lines for li in trigger[p]):
+            if b.adj[v] & used_mask == want[depth]:
+                image[p] = v
                 used_mask |= low
                 depth += 1
                 break
-            image[p] = -1
         else:
             depth -= 1
-
-    if depth < 0:
-        return None
-    mapping = {p: image[p] for p in range(a.n_points)}
-    ok, _ = is_isomorphism(a, b, mapping)
-    return mapping if ok else None
+    return None
 
 
 # -- the battery ---------------------------------------------------------------

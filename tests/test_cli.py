@@ -419,6 +419,24 @@ def test_run_hermitian_line_output_is_pinned(tmp_path):
     assert tree_digest(out) == HERM_LINE_DIGEST
 
 
+# The same digest over order-5 runs, where forcing on every placed line keeps
+# the search from dominating.
+ORDER_FIVE_DIGESTS = {
+    "point 0": "61c13ac5d61d23f6cee324cb8fdc86a9ef0b92f908c31f17b58f2776dec92922",
+    "line 0": "92c393496889263be30101d0d3a1758a91614c74bb0d90dcc883c1c459a9d55e",
+}
+
+
+@pytest.mark.parametrize("horizon", ORDER_FIVE_DIGESTS)
+def test_run_order_five_output_is_pinned(tmp_path, horizon):
+    out = tmp_path / "q55"
+    assert run_cli("run", "--form", "q+:5:5", "--horizon", horizon, "--out", str(out)) == 0
+    assert read(out / "lemma_battery.json")["failed"] == 0
+    ver = read(out / "verification.json")
+    assert ver["canonical_isomorphism"] is True and ver["independent_search"]["found"] is True
+    assert tree_digest(out) == ORDER_FIVE_DIGESTS[horizon]
+
+
 def test_run_larger_space_full_pipeline(tmp_path):
     out = tmp_path / "sp63"
     assert run_cli("run", "--form", "sp:6:3", "--horizon", "point 0", "--out", str(out)) == 0

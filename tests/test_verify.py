@@ -11,6 +11,7 @@ from collections import Counter
 
 import pytest
 
+import polarcomp.verify as verify_module
 from polarcomp import (
     Complement,
     build_complement,
@@ -194,6 +195,46 @@ def test_static_order_ties_break_on_class_size(sp62):
     assert len(set(Counter(_joint_colors(a, b)[0]).values())) >= 2
     for x, y in ((a, b), (b, a)):
         m = find_isomorphism(x, y)
+        assert m is not None and m == unforced_isomorphism(x, y)
+
+
+def test_forcing_keeps_the_first_mapping_at_order_three(sp63):
+    recon = reconstruct(Parallelism(build_complement(sp63, sp63.structure.line_masks[0])))
+    for a, b in ((sp63.structure, recon.structure), (recon.structure, sp63.structure)):
+        m = find_isomorphism(a, b)
+        assert m is not None and m == unforced_isomorphism(a, b)
+
+
+@pytest.mark.parametrize("space", ["sp62", "q52", "q62"])
+def test_forcing_keeps_the_first_mapping_on_mixed_line_sizes(space, request):
+    # The order-2 perp-meet reconstructions have lines of 2 and 3 points, so
+    # forcing alone does not map lines onto lines there.
+    ps = request.getfixturevalue(space)
+    comp = build_complement(ps, resolve_horizon(ps, "meet perp 0 perp 1"))
+    a = reconstruct(Parallelism(comp)).structure
+    assert {len(line) for line in a.lines} == {2, 3}
+    b = relabel(a, 7)[1]
+    for x, y in ((a, b), (b, a)):
+        m = find_isomorphism(x, y)
+        assert m is not None and m == unforced_isomorphism(x, y)
+
+
+def test_full_check_backtracks_from_a_non_isomorphism(monkeypatch):
+    # Two lines share the pair {0, 1} (and {2, 3}), so the first full
+    # assignment that forcing and adjacency allow is no isomorphism; the
+    # search backtracks from it to the unforced search's mapping.
+    calls = []
+    check = verify_module.is_isomorphism
+    monkeypatch.setattr(
+        verify_module, "is_isomorphism", lambda a, b, m: calls.append(m) or check(a, b, m)
+    )
+    a = IncidenceStructure(5, [(0, 1), (0, 1, 2), (1, 2, 3), (2, 3)])
+    perm = [3, 0, 4, 2, 1]
+    b = IncidenceStructure(5, [tuple(sorted(perm[p] for p in line)) for line in a.lines])
+    for x, y in ((a, b), (b, a)):
+        calls.clear()
+        m = find_isomorphism(x, y)
+        assert len(calls) == 2 and not check(x, y, calls[0])[0]
         assert m is not None and m == unforced_isomorphism(x, y)
 
 
