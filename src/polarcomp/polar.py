@@ -35,7 +35,6 @@ MAX_VECTOR_DIM = 10
 MAX_PG_POINTS = 1 << 14
 
 KINDS = ("symplectic", "parabolic", "hyperbolic", "elliptic", "hermitian")
-QUADRATIC_KINDS = ("parabolic", "hyperbolic", "elliptic")
 
 Matrix = tuple[tuple[int, ...], ...]  # a square matrix over the field, row by row
 
@@ -45,7 +44,8 @@ class FormSpec:
 
     For quadratic kinds ``quad`` holds the upper-triangular coefficients of
     the quadratic form and ``gram`` its polarization; for the other kinds
-    ``quad`` is None and ``gram`` is the (sesqui)linear Gram matrix.
+    ``quad`` is None and ``gram`` is the (sesqui)linear Gram matrix.  Both
+    are evaluated over their nonzero terms ``(i, j, c)`` alone.
     """
 
     def __init__(self, kind: str, field: GF, dim: int, gram: Matrix, quad: Matrix | None = None):
@@ -57,25 +57,25 @@ class FormSpec:
         self.dim = dim
         self.gram = gram
         self.quad = quad
+        self._gram_terms = [(i, j, c) for i, row in enumerate(gram) for j, c in enumerate(row) if c]
+        self._quad_terms = [
+            (i, j, c) for i, row in enumerate(quad or ()) for j, c in enumerate(row[i:], i) if c
+        ]
 
     def quad_value(self, v: Sequence[int]) -> int:
         if self.quad is None:
             raise ValueError(f"{self.kind} form has no quadratic part")
         add, mul = self.field._add, self.field._mul
         acc = 0
-        for i, row in enumerate(self.quad):
-            vi = v[i]
-            if vi:
-                for c, vj in zip(row[i:], v[i:]):
-                    if c and vj:
-                        acc = add[acc][mul[c][mul[vi][vj]]]
+        for i, j, c in self._quad_terms:
+            acc = add[acc][mul[c][mul[v[i]][v[j]]]]
         return acc
 
     def vec_singular(self, v: Sequence[int]) -> bool:
         """True iff the vector spans a point of the polar space."""
         if self.kind == "symplectic":
             return True
-        if self.kind in QUADRATIC_KINDS:
+        if self.quad is not None:
             return self.quad_value(v) == 0
         add, mul = self.field._add, self.field._mul
         acc = 0
@@ -91,12 +91,8 @@ class FormSpec:
         """
         add, mul = self.field._add, self.field._mul
         cov = [0] * self.dim
-        for ui, row in zip(u, self.gram):
-            if ui:
-                mu = mul[ui]
-                for j, g in enumerate(row):
-                    if g:
-                        cov[j] = add[cov[j]][mu[g]]
+        for i, j, g in self._gram_terms:
+            cov[j] = add[cov[j]][mul[u[i]][g]]
         if self.kind == "hermitian":
             return tuple(map(self.field.conj, cov))
         return tuple(cov)
@@ -115,59 +111,46 @@ def _zero_matrix(dim: int) -> list[list[int]]:
     return [[0] * dim for _ in range(dim)]
 
 
-def _polarize(field: GF, quad: Sequence[Sequence[int]]) -> Matrix:
-    n = len(quad)
-    g = _zero_matrix(n)
-    for i in range(n):
-        for j in range(i, n):
-            c = quad[i][j]
-            if c == 0:
-                continue
-            if i == j:
-                g[i][i] = field.add(c, c)
-            else:
-                g[i][j] = c
-                g[j][i] = c
-    return tuple(tuple(row) for row in g)
+def _pairs(dim: int, first: int) -> list[list[int]]:
+    """The hyperbolic pairs x_f x_(f+1) + x_(f+2) x_(f+3) + ... from coordinate
+    ``first``, written above the diagonal; the head before it is left zero."""
+    m = _zero_matrix(dim)
+    for i in range(first, dim, 2):
+        m[i][i + 1] = 1
+    return m
 
 
-def _quad_form(kind: str, field: GF, dim: int, quad: list[list[int]]) -> FormSpec:
-    q = tuple(tuple(row) for row in quad)
-    return FormSpec(kind, field, dim, _polarize(field, q), q)
+def _quadric(kind: str, field: GF, quad: list[list[int]]) -> FormSpec:
+    """The quadric of upper-triangular ``quad``; its Gram is ``quad + quadᵀ``."""
+    add = field._add
+    gram = tuple(tuple(add[a][b] for a, b in zip(row, col)) for row, col in zip(quad, zip(*quad)))
+    return FormSpec(kind, field, len(quad), gram, tuple(map(tuple, quad)))
 
 
 def symplectic_form(vdim: int, field: GF) -> FormSpec:
     """Alternating form pairing coordinates (0,1), (2,3), ... on ``vdim`` space."""
     if vdim % 2 != 0:
         raise ConfigurationError("a symplectic space needs even vector dimension")
-    g = _zero_matrix(vdim)
+    g = _pairs(vdim, 0)
     for i in range(0, vdim, 2):
-        g[i][i + 1] = 1
         g[i + 1][i] = field.neg(1)
-    return FormSpec("symplectic", field, vdim, tuple(tuple(r) for r in g))
+    return FormSpec("symplectic", field, vdim, tuple(map(tuple, g)))
 
 
 def hyperbolic_form(pdim: int, field: GF) -> FormSpec:
     """Quadric x0x1 + x2x3 + ... in projective dimension ``pdim`` (odd)."""
     if pdim % 2 != 1:
         raise ConfigurationError("a hyperbolic quadric needs odd projective dimension")
-    dim = pdim + 1
-    quad = _zero_matrix(dim)
-    for i in range(0, dim, 2):
-        quad[i][i + 1] = 1
-    return _quad_form("hyperbolic", field, dim, quad)
+    return _quadric("hyperbolic", field, _pairs(pdim + 1, 0))
 
 
 def parabolic_form(pdim: int, field: GF) -> FormSpec:
     """Quadric x0^2 + x1x2 + x3x4 + ... in projective dimension ``pdim`` (even)."""
     if pdim % 2 != 0:
         raise ConfigurationError("a parabolic quadric needs even projective dimension")
-    dim = pdim + 1
-    quad = _zero_matrix(dim)
+    quad = _pairs(pdim + 1, 1)
     quad[0][0] = 1
-    for i in range(1, dim, 2):
-        quad[i][i + 1] = 1
-    return _quad_form("parabolic", field, dim, quad)
+    return _quadric("parabolic", field, quad)
 
 
 def _anisotropic_coeff(f: GF) -> int:
@@ -186,15 +169,10 @@ def elliptic_form(pdim: int, field: GF) -> FormSpec:
     """Quadric x0^2 + x0x1 + d*x1^2 + x2x3 + ... with anisotropic head."""
     if pdim % 2 != 1:
         raise ConfigurationError("an elliptic quadric needs odd projective dimension")
-    dim = pdim + 1
-    quad = _zero_matrix(dim)
-    d = _anisotropic_coeff(field)
-    quad[0][0] = 1
-    quad[0][1] = 1
-    quad[1][1] = d
-    for i in range(2, dim, 2):
-        quad[i][i + 1] = 1
-    return _quad_form("elliptic", field, dim, quad)
+    quad = _pairs(pdim + 1, 2)
+    quad[0][0] = quad[0][1] = 1
+    quad[1][1] = _anisotropic_coeff(field)
+    return _quadric("elliptic", field, quad)
 
 
 def hermitian_form(pdim: int, field: GF) -> FormSpec:

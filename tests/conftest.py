@@ -81,6 +81,11 @@ def sp82(gf2):
 
 
 @pytest.fixture(scope="session")
+def q82(gf2):
+    return build_polar(parabolic_form(8, gf2))
+
+
+@pytest.fixture(scope="session")
 def qm72(gf2):
     return build_polar(elliptic_form(7, gf2))
 

@@ -70,6 +70,16 @@ def bilin(form, u, v):
     return acc
 
 
+def quad_scan(form, v):
+    """The quadratic form at ``v``, read over the whole upper triangle of ``quad``."""
+    f = form.field
+    acc = 0
+    for i, row in enumerate(form.quad):
+        for j in range(i, form.dim):
+            acc = f.add(acc, f.mul(row[j], f.mul(v[i], v[j])))
+    return acc
+
+
 def pair_perp(form, u, v):
     """True iff the two vectors are orthogonal under the reflexive form."""
     return bilin(form, u, v) == 0

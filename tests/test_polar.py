@@ -33,6 +33,7 @@ from polarcomp.incidence import bits
 from polarcomp.polar import _one_or_all_witness, _partial_linear_witness
 from oracles import (
     axioms_scan,
+    bilin,
     closure_scan,
     covector_sections,
     form_lines,
@@ -42,6 +43,7 @@ from oracles import (
     one_or_all_scan,
     pair_perp,
     partial_linear_scan,
+    quad_scan,
     rank_scan,
     span_planes,
 )
@@ -426,6 +428,94 @@ def test_symplectic_has_all_points(sp62, gf2):
 def test_quadric_points_satisfy_the_form(q52):
     for p in q52.points:
         assert q52.form.quad_value(p) == 0
+
+
+CONSTRUCTORS = {
+    "symplectic": symplectic_form,
+    "parabolic": parabolic_form,
+    "hyperbolic": hyperbolic_form,
+    "elliptic": elliptic_form,
+    "hermitian": hermitian_form,
+}
+
+
+def _form_cases():
+    """Each dimension a kind accepts up to the vector-dimension cap (the
+    vector dimension for ``sp``, the projective one otherwise), over the
+    orders 2, 3, 4, 5, 8 and 9; hermitian forms need a square order."""
+    top = polar_module.MAX_VECTOR_DIM
+    accepted = {
+        "symplectic": range(2, top + 1, 2),
+        "parabolic": range(2, top, 2),
+        "hyperbolic": range(1, top, 2),
+        "elliptic": range(1, top, 2),
+        "hermitian": range(1, top),
+    }
+    fields = [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2)]
+    return [
+        pytest.param(kind, n, p, k, id=f"{kind}-{n}-{p ** k}")
+        for kind, ns in accepted.items()
+        for p, k in fields
+        if kind != "hermitian" or k % 2 == 0
+        for n in ns
+    ]
+
+
+def _written_quad(kind, dim, d):
+    """The coefficients of the polynomial each quadric is defined by: the
+    hyperbolic pairs x_i x_(i+1) after a head of 0, 1 or 2 coordinates,
+    the head being x0^2 (parabolic) or x0^2 + x0x1 + d*x1^2 (elliptic)."""
+    quad = [[0] * dim for _ in range(dim)]
+    head = {"hyperbolic": 0, "parabolic": 1, "elliptic": 2}[kind]
+    for i in range(head, dim, 2):
+        quad[i][i + 1] = 1
+    if kind != "hyperbolic":
+        quad[0][0] = 1
+    if kind == "elliptic":
+        quad[0][1], quad[1][1] = 1, d
+    return quad
+
+
+@pytest.mark.parametrize("kind, n, p, k", _form_cases())
+def test_forms_match_their_definitions(kind, n, p, k):
+    f = GF(p, k)
+    form = CONSTRUCTORS[kind](n, f)
+    dim = n if kind == "symplectic" else n + 1
+    assert (form.kind, form.dim) == (kind, dim)
+    if kind == "symplectic":  # P - P^T for the pairs P
+        pairs = _written_quad("hyperbolic", dim, None)
+        gram = [[f.add(pairs[i][j], f.neg(pairs[j][i])) for j in range(dim)] for i in range(dim)]
+        assert form.quad is None
+    elif kind == "hermitian":
+        gram = [[int(i == j) for j in range(dim)] for i in range(dim)]
+        assert form.quad is None
+    else:  # Q + Q^T
+        d = form.quad[1][1]
+        if kind == "elliptic":
+            assert all(
+                f.add(f.add(f.mul(x, x), f.mul(x, y)), f.mul(d, f.mul(y, y)))
+                for x in range(f.q) for y in range(f.q) if x or y
+            )
+        quad = _written_quad(kind, dim, d)
+        assert form.quad == tuple(map(tuple, quad))
+        gram = [[f.add(quad[i][j], quad[j][i]) for j in range(dim)] for i in range(dim)]
+    assert form.gram == tuple(map(tuple, gram))
+
+    # the sparse evaluations against the full matrices
+    rnd = random.Random(f"{kind}:{n}:{p}:{k}")
+    units = [tuple(int(i == j) for i in range(dim)) for j in range(dim)]
+    for _ in range(20):
+        u, v = (tuple(rnd.randrange(f.q) for _ in range(dim)) for _ in range(2))
+        # u is orthogonal to v iff sum c_j v_j == 0; hermitian covectors are conjugate
+        cov = tuple(bilin(form, u, e) for e in units)
+        if kind == "hermitian":
+            cov = tuple(map(f.conj, cov))
+        assert form.perp_covector(u) == cov
+        if form.quad is None:
+            assert form.vec_singular(v) == (bilin(form, v, v) == 0)
+        else:
+            assert form.quad_value(v) == quad_scan(form, v)
+            assert form.vec_singular(v) == (quad_scan(form, v) == 0)
 
 
 def test_form_perp_matches_collinearity(sp62):

@@ -305,7 +305,7 @@ def _battery(ps, spec):
     return {r.check_id: r for r in results}
 
 
-@pytest.mark.parametrize("space", ["qm72", "q72", "q62"])
+@pytest.mark.parametrize("space", ["qm72", "q72", "q62", "sp82", "q82"])
 def test_order_two_perp_meet_fails_the_affine_checks(space, request):
     # Boundary behaviour: at order 2 the crossing configuration leaves
     # affine lines of ``meet perp 0 perp 1`` without a class, line 0 first.
@@ -320,6 +320,25 @@ def test_order_two_perp_meet_fails_the_affine_checks(space, request):
     assert results["affine_detection"].witness == {
         "only_intrinsic": [], "only_ground": list(range(8))
     }
+
+
+LARGER_SPACES = ["q53", "qm72", "q72", "sp63", "q63", "herm54", "sp82", "q54"]
+# at order 2 the perp-meet is the boundary pinned above
+ORDER_THREE_UP = ["q53", "sp63", "q63", "herm54", "q54"]
+LARGER_MATRIX = [
+    (space, horizon) for space in LARGER_SPACES for horizon in ("point 0", "line 0", "span 0,1")
+] + [(space, "meet perp 0 perp 1") for space in ORDER_THREE_UP]
+
+
+@pytest.mark.parametrize("space, horizon", LARGER_MATRIX)
+def test_larger_spaces_are_recovered(space, horizon, request):
+    ps = request.getfixturevalue(space)
+    assert not ps.structure.collinear(0, 1)  # so ``span 0,1`` is no singular line
+    run = Run(build_complement(ps, resolve_horizon(ps, horizon)))
+    results = run_lemma_battery(run)
+    assert [r.check_id for r in results if r.status != "pass"] == []
+    assert run.canonical_isomorphism[0] is True
+    assert find_isomorphism(ps.structure, run.reconstruction.structure) is not None
 
 
 def test_triple_checks_survive_classes_sharing_a_direction(q52):
