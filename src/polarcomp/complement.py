@@ -2,11 +2,13 @@
 
 Removing a subspace W from a polar space leaves the proper points and the
 traces of lines not inside W.  Lines whose closure meets W in a point are
-affine.  The horizon notions live here, read from perps and masks: deep
-points and deep lines are the horizon points and lines whose perp lies in
-W, and semiaffine planes are the planes meeting W.  So do the two searches
-that the verification layer exercises: extending W to a hyperplane avoiding
-two line closures, and chaining coplanar steps between parallel lines.
+affine; their traces are the short ones, of ``q`` points, and the planes on
+them, the planes meeting W, are the complement's planes.  The horizon
+notions live here, read from perps and masks: deep points and deep lines
+are the horizon points and lines whose perp lies in W.  So do the two
+searches that the verification layer exercises: extending W to a
+hyperplane avoiding two line closures, and chaining coplanar steps between
+parallel lines.
 
 All point sets are bitmasks over *base* point indices; proper line ids index
 the complement's own line list.
@@ -18,7 +20,7 @@ from collections.abc import Iterable, Sequence
 
 from .errors import HorizonRefusal, IntegrityError, LemmaFalsified
 from .incidence import bits, mask_of
-from .polar import PolarSpace
+from .polar import PolarSpace, _plane_lines
 
 __all__ = [
     "Complement",
@@ -69,7 +71,7 @@ class Complement:
 
         self._point_lines: dict[int, int] | None = None
         self._planes: list[int] | None = None
-        self._plane_ids: list[tuple[int, ...]] | None = None
+        self._plane_ids: list[tuple[int, ...]] = []
         self._line_planes: list[list[int]] | None = None
 
     # -- lines and parallelism --------------------------------------------
@@ -121,22 +123,24 @@ class Complement:
     # -- planes --------------------------------------------------------------
 
     def planes(self) -> list[int]:
-        """Masks of the singular base planes not inside the horizon."""
+        """Masks of the base planes on the short lines: the planes meeting W
+        and not inside it, as a line meets W in 0, 1 or ``q + 1`` points.
+        Sorted by ascending line ids, which is lexicographic point order:
+        lines are ordered by their points, and a plane's least lines join its
+        least point to the next least ones."""
         if self._planes is None:
-            self._planes = [m for m in self.base.singular_planes() if m & self.proper_mask]
+            q = self.base.form.field.q
+            short = [b for b, t in zip(self.line_closure, self.line_trace) if t.bit_count() == q]
+            found = sorted(_plane_lines(self.base, short).items(), key=lambda item: item[1])
+            proper_id = {b: k for k, b in enumerate(self.line_closure)}
+            self._planes = [plane for plane, _ in found]
+            self._plane_ids = [tuple(proper_id[b] for b in ids if b in proper_id) for _, ids in found]
         return self._planes
 
     def plane_lines(self, pi: int) -> tuple[int, ...]:
         """Ascending proper line ids whose trace lies inside plane ``pi``: the
         base space's plane lines relabelled, horizon and deleted lines dropped."""
-        if self._plane_ids is None:
-            proper_id = {b: k for k, b in enumerate(self.line_closure)}
-            base = self.base
-            self._plane_ids = [
-                tuple(proper_id[b] for b in ids if b in proper_id)
-                for plane, ids in zip(base.singular_planes(), base.singular_plane_lines())
-                if plane & self.proper_mask
-            ]
+        self.planes()
         return self._plane_ids[pi]
 
     def line_planes(self, k: int) -> list[int]:
@@ -149,19 +153,17 @@ class Complement:
         return self._line_planes[k]
 
     def semiaffine_planes(self) -> list[int]:
-        """Ids of the planes that meet the horizon."""
-        return [pi for pi, plane in enumerate(self.planes()) if plane & self.horizon]
+        """Ids of the planes that meet the horizon: every plane."""
+        return list(range(len(self.planes())))
 
     def plane_horizon(self, pi: int) -> int:
-        """The points at infinity of a semiaffine plane."""
-        out = self.planes()[pi] & self.horizon
-        if out == 0:
-            raise ValueError(f"plane {pi} is not semiaffine")
-        return out
+        """The points at infinity of a plane."""
+        return self.planes()[pi] & self.horizon
 
     def plane_counts(self) -> tuple[int, int]:
-        """``(len(planes()), len(semiaffine_planes()))`` read from the line
-        perps, with no plane built.  The planes on a line ``L`` meet only in
+        """The numbers of base planes not inside the horizon W and of those
+        among them meeting W, the second ``len(planes())``, read from the line
+        perps with no plane built.  The planes on a line ``L`` meet only in
         ``L`` and cover ``L^⊥``, each with ``q**2`` points off ``L``.  For
         ``L`` in the horizon W (a subspace) those inside W cover ``L^⊥ ∩ W``;
         for ``L`` missing W each point of ``L^⊥ ∩ W`` lies on the one plane on

@@ -259,18 +259,21 @@ def compute_rank(st: IncidenceStructure) -> int:
         rank += 1
 
 
-def _plane_lines(ps: "PolarSpace") -> dict[int, tuple[int, ...]]:
-    """Each singular plane's mask with its ascending line ids, each plane built
-    once: from the first line in it, through the points of that line's perp
-    that no plane found through the line covers (such planes meet only in it).
-    That line holds the plane's two least points, and the planes on one line
-    follow their least points off it, so the keys are in lexicographic order."""
+def _plane_lines(ps: "PolarSpace", starts: Iterable[int]) -> dict[int, tuple[int, ...]]:
+    """Each singular plane on a start line, its mask with its ascending line
+    ids, each plane built once: from the first start line in it, through the
+    points of that line's perp that no plane found through the line covers
+    (such planes meet only in it).  Over every line in id order, the first
+    line of a plane holds its two least points, and the planes on one line
+    follow their least points off it, so the keys are in lexicographic order.
+    A line is its own perp in rank 2, so there the walk finds nothing."""
     st, line_through = ps.structure, ps.line_through
-    lines, line_masks = st.lines, st.line_masks
+    lines, line_masks, perps = st.lines, st.line_masks, ps.line_perps
     covered = list(line_masks)
     found = {}
-    for li, (lm, on, perp) in enumerate(zip(line_masks, lines, ps.line_perps)):
-        rest = perp & ~covered[li]
+    for li in starts:
+        lm, on = line_masks[li], lines[li]
+        rest = perps[li] & ~covered[li]
         while rest:
             # The plane on L and x: L, the spokes from x to the points of L,
             # and at each point of L the lines to the points off L and its spoke.
@@ -314,7 +317,6 @@ class PolarSpace:
         self.sections = sections
         self.ambient_dim = form.dim - 1
         self._planes: list[int] | None = None
-        self._plane_lines: list[tuple[int, ...]] = []
         self._line_of_perp: dict[int, int] | None = None
 
     @classmethod
@@ -373,15 +375,8 @@ class PolarSpace:
         """Masks of all singular planes in lexicographic point order, empty
         when the rank is below 3."""
         if self._planes is None:
-            found = _plane_lines(self) if self.rank >= 3 else {}
-            self._planes = list(found)
-            self._plane_lines = list(found.values())
+            self._planes = list(_plane_lines(self, range(len(self.line_perps))))
         return self._planes
-
-    def singular_plane_lines(self) -> list[tuple[int, ...]]:
-        """Ascending line ids of each singular plane, in plane order."""
-        self.singular_planes()
-        return self._plane_lines
 
     def hyperplane_candidates(self, over: int = 0) -> list[int]:
         """Ambient-hyperplane sections over the point set ``over``, deduplicated,

@@ -51,12 +51,9 @@ class Parallelism:
     def __init__(self, comp: Complement):
         self.comp = comp
         lm = comp.line_trace
-        star, whole = [0] * comp.n_lines, comp.base.form.field.q + 1
+        star = [0] * comp.n_lines
         for pi in range(len(comp.planes())):
             ids = comp.plane_lines(pi)
-            # Coplanar lines meet in the base: a plane of whole lines has no disjoint pair.
-            if all(lm[k].bit_count() == whole for k in ids):
-                continue
             at: dict[int, int] = {}  # the plane's lines through each point
             for a, k in enumerate(ids):
                 for p in bits(lm[k]):
@@ -145,9 +142,9 @@ class Parallelism:
         return list(dict.fromkeys(groups))
 
     def lines_second(self) -> list[tuple[int, ...]]:
-        """Per-plane direction sets of size at least two.  Every plane is read:
-        one missing the horizon holds no affine line, as a line and its star
-        partner share a plane, so they meet, and not in a proper point."""
+        """Per-plane direction sets of size at least two.  The complement's
+        planes are the planes on its short lines; a plane missing the horizon
+        holds no affine line, so reading it would add no direction."""
         return list(dict.fromkeys(tuple(bits(m)) for m in self.plane_classes if m & (m - 1)))
 
     def ternary_collinear(self, c1: int, c2: int, c3: int) -> bool:

@@ -349,10 +349,10 @@ def test_complement_task_enumerates_no_plane(form, horizon, tmp_path, monkeypatc
     argv = ["run", "--form", form, "--horizon", horizon, "--tasks", "axioms,complement"]
     assert run_cli(*argv, "--out", str(tmp_path / "walk")) == 0
 
-    def no_walk(ps):
+    def no_walk(*args):
         raise AssertionError("singular planes enumerated")
 
-    monkeypatch.setattr(polar_module, "_plane_lines", no_walk)
+    _patch_every_binding(monkeypatch, polar_module._plane_lines, no_walk)
     assert run_cli(*argv, "--out", str(tmp_path / "counted")) == 0
     expected = (tmp_path / "walk" / "complement.json").read_bytes()
     assert (tmp_path / "counted" / "complement.json").read_bytes() == expected
@@ -450,11 +450,13 @@ def test_run_larger_space_full_pipeline(tmp_path):
     assert ver["independent_search"]["found"] is True
 
 
-def test_run_rank_five_full_pipeline(tmp_path):
-    """q+:9:2 (PG(9,2), 527 points) is the smallest rank-5 space under the
-    vector-dimension cap."""
-    out = tmp_path / "q92"
-    assert run_cli("run", "--form", "q+:9:2", "--horizon", "point 0", "--out", str(out)) == 0
+@pytest.mark.parametrize("form", ["q+:9:2", "sp:10:2"])
+def test_run_rank_five_full_pipeline(tmp_path, form):
+    """q+:9:2 (PG(9,2), 527 points) and sp:10:2 (1,023 points, 782,595
+    planes, 5,355 of them on the complement's short lines) are the rank-5
+    spaces under the vector-dimension cap."""
+    out = tmp_path / "rank5"
+    assert run_cli("run", "--form", form, "--horizon", "point 0", "--out", str(out)) == 0
     axioms = read(out / "axioms.json")
     assert axioms["all_ok"] is True and axioms["rank"] == 5
     assert read(out / "lemma_battery.json")["failed"] == 0

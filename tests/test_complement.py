@@ -140,16 +140,13 @@ def test_lines_at_point_match_trace_scan(space, spec, dropped, request):
 
 
 def test_planes_and_semiaffine(comp_point):
+    # 135 base planes off the removed point's horizon, the complement's 15 over it
+    assert _counted(comp_point) == (135, 15)
     planes = comp_point.planes()
-    assert len(planes) == 135
     assert all(plane & comp_point.proper_mask for plane in planes)
-    semi = comp_point.semiaffine_planes()
-    assert len(semi) == 15  # the planes over the removed point
-    for pi in semi:
+    assert comp_point.semiaffine_planes() == list(range(15))
+    for pi in range(15):
         assert comp_point.plane_horizon(pi) == 1 << 0
-    others = set(range(135)) - set(semi)
-    with pytest.raises(ValueError):
-        comp_point.plane_horizon(next(iter(others)))
 
 
 @pytest.mark.parametrize(
@@ -168,19 +165,15 @@ def test_horizon_notions_match_affine_line_oracles(
     space, spec, n_deep_points, n_deep_lines, request
 ):
     """Deep points and lines read from perps, and semiaffine planes and their
-    infinities read from plane masks, agree with the affine-line definitions."""
+    infinities read from plane masks, agree with the affine-line definitions:
+    every plane of the complement holds an affine line."""
     ps = request.getfixturevalue(space)
     comp = build_complement(ps, resolve_horizon(ps, spec))
     assert comp.deep_points() == realized_deep_points(comp)
     assert comp.deep_points().bit_count() == n_deep_points
     assert comp.semiaffine_planes() == affine_semiaffine_planes(comp)
     for pi in range(len(comp.planes())):
-        expected = affine_plane_horizon(comp, pi)
-        if expected:
-            assert comp.plane_horizon(pi) == expected, pi
-        else:
-            with pytest.raises(ValueError, match="not semiaffine"):
-                comp.plane_horizon(pi)
+        assert comp.plane_horizon(pi) == affine_plane_horizon(comp, pi) != 0, pi
     assert comp.deep_lines() == unrealized_deep_lines(comp)
     assert len(comp.deep_lines()) == n_deep_lines
 
@@ -216,7 +209,12 @@ def test_plane_lines_match_scan_oracle(space, spec, request):
 
 
 def _counted(comp):
-    return len(comp.planes()), len(comp.semiaffine_planes())
+    """The base planes not inside the horizon and those meeting it, counted
+    from the base planes; the complement's planes are the second list."""
+    off = [m for m in comp.base.singular_planes() if m & comp.proper_mask]
+    meeting = [m for m in off if m & comp.horizon]
+    assert comp.planes() == meeting
+    return len(off), len(meeting)
 
 
 @pytest.mark.parametrize("space", ["sp62", "q52"])
@@ -261,6 +259,21 @@ def test_plane_counts_match_enumeration_on_a_rank_four_order_three_space():
     n_planes, n_semiaffine = comp.plane_counts()
     assert (n_planes, n_semiaffine) == _counted(comp)
     assert n_planes == 44800
+
+
+@pytest.mark.parametrize(
+    "space, spec", [("sp62", "line 0"), ("q53", "meet perp 0 perp 3"), ("qm72", "point 0")]
+)
+def test_dropping_a_line_loses_no_plane(space, spec, request):
+    """A plane meeting the horizon holds at least ``q + 1`` short lines, so a
+    complement short of one line, short or whole, still finds every plane."""
+    ps = request.getfixturevalue(space)
+    comp = build_complement(ps, resolve_horizon(ps, spec))
+    whole = next(k for k in range(comp.n_lines) if not comp.is_affine(k))
+    for k in (comp.affine_lines()[0], whole):
+        dropped = drop_proper_line(comp, k)
+        assert _counted(dropped) == comp.plane_counts()
+        assert dropped.planes() == comp.planes()
 
 
 @pytest.mark.parametrize("space", ["sp62", "q52", "herm54", "sp82", "q63", "sp63", "qm72"])

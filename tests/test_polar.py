@@ -143,7 +143,25 @@ def test_singular_planes_of_larger_spaces(desc, q, n_planes):
 def test_singular_plane_lines_match_lines_in(desc):
     ps = _space(desc)
     st = ps.structure
-    assert ps.singular_plane_lines() == [tuple(lines_in(st, m)) for m in ps.singular_planes()]
+    found = polar_module._plane_lines(ps, range(len(st.lines)))
+    assert list(found) == ps.singular_planes()
+    assert list(found.values()) == [tuple(lines_in(st, m)) for m in ps.singular_planes()]
+
+
+@pytest.mark.parametrize("desc", ["sp:6:2", "q+:5:3", "q-:7:2"])
+def test_plane_walk_from_some_lines_finds_exactly_their_planes(desc):
+    """Started from a subset of the lines, the walk returns exactly the
+    planes holding a start line, each with all its line ids."""
+    ps = _space(desc)
+    st = ps.structure
+    starts = random.Random(desc).sample(range(len(st.lines)), len(st.lines) // 20)
+    found = polar_module._plane_lines(ps, sorted(starts))
+    expected = {
+        m: tuple(lines_in(st, m)) for m in ps.singular_planes()
+        if any(not st.line_masks[k] & ~m for k in starts)
+    }
+    assert found == expected
+    assert polar_module._plane_lines(ps, []) == {}
 
 
 @pytest.mark.parametrize("desc", ["sp:6:2", "q+:5:3", "q-:7:2", "herm:5:4", "sp:8:2"])
@@ -387,6 +405,9 @@ def test_hermitian_gq(gf4):
     assert ps.structure.n_points == 45
     assert len(ps.structure.lines) == 27
     assert ps.rank == 2
+    # every line is its own perp, so the plane walk finds nothing
+    assert ps.line_perps == ps.structure.line_masks
+    assert ps.singular_planes() == []
     with pytest.raises(ConfigurationError, match="rank 2"):
         build_polar(hermitian_form(3, gf4))
 

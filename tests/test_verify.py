@@ -20,6 +20,7 @@ from polarcomp import (
     find_isomorphism,
     is_isomorphism,
     Parallelism,
+    PolarSpace,
     Run,
     resolve_horizon,
     run_lemma_battery,
@@ -249,6 +250,24 @@ def test_battery_passes_on_point_horizon(comp_point):
     assert all(r.status == "pass" for r in results), [
         (r.check_id, r.witness) for r in results if r.status != "pass"
     ]
+
+
+def test_battery_and_reconstruction_walk_no_base_plane_list(qm72, monkeypatch):
+    """The complement walks only the planes on its short lines: the
+    parallelism, the battery and the reconstruction never ask for the base
+    space's plane list."""
+    comp = build_complement(qm72, resolve_horizon(qm72, "point 0"))
+
+    def refuse(self):
+        raise AssertionError("every singular plane enumerated")
+
+    monkeypatch.setattr(PolarSpace, "singular_planes", refuse)
+    run = Run(comp)
+    results = run_lemma_battery(run)
+    assert [r.check_id for r in results] == BATTERY_IDS
+    assert all(r.status == "pass" for r in results)
+    assert run.parallelism.n_classes == 1
+    assert run.canonical_isomorphism[0] is True
 
 
 def test_battery_delegates_hyperplane_horizons(sp62):
