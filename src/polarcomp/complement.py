@@ -213,37 +213,40 @@ class Complement:
             f"no candidate hyperplane over the horizon avoids the closures of lines {k} and {l}"
         )
 
-    def plane_path(self, k: int, l: int) -> list[int]:
-        """A chain of planes through the common infinity joining two lines.
+    def plane_paths(self, k: int) -> dict[int, list[int]]:
+        """Chains of planes from ``k`` to every line of its fibre that they
+        reach, read from one breadth-first tree, neighbours in ascending id.
 
         Consecutive planes share a proper line; the first contains ``k`` and
-        the last contains ``l``.  Breadth first, neighbours in ascending id.
-        Every plane holding an affine line contains its point at infinity
-        ``a``.  Two planes through ``a`` sharing a proper line ``j`` share its
-        closure, which passes through ``a``, else both planes would equal
+        the last is the tree's first plane holding the line.  Every plane
+        holding an affine line contains its point at infinity ``a``.  Two
+        planes through ``a`` sharing a proper line ``j`` share its closure,
+        which passes through ``a``, else both planes would equal
         span(``a``, closure).  So a chain steps only through ``a``'s fibre.
         """
-        a = self._require_parallel_pair(k, l)
-        targets = set(self.line_planes(l))
-        parent: dict[int, int | None] = dict.fromkeys(self.line_planes(k))
-        queue = list(parent)
+        a = self.point_at_infinity(k)
+        chain = {pi: [pi] for pi in self.line_planes(k)}  # from k to each plane of the tree
+        paths: dict[int, list[int]] = {}
+        queue = list(chain)
         for pi in queue:
-            if pi in targets:
-                path = [pi]
-                while parent[path[-1]] is not None:
-                    path.append(parent[path[-1]])  # type: ignore[arg-type]
-                return path[::-1]
-            step = {
-                pj
-                for j in self.plane_lines(pi) if self._infinity[j] == a
-                for pj in self.line_planes(j) if pj not in parent
-            }
+            fibre = [j for j in self.plane_lines(pi) if self._infinity[j] == a]
+            for j in fibre:
+                paths.setdefault(j, chain[pi])
+            step = {pj for j in fibre for pj in self.line_planes(j) if pj not in chain}
             for pj in sorted(step):
-                parent[pj] = pi
+                chain[pj] = chain[pi] + [pj]
                 queue.append(pj)
-        raise LemmaFalsified(
-            f"no plane chain joins lines {k} and {l} through their point at infinity"
-        )
+        return paths
+
+    def plane_path(self, k: int, l: int) -> list[int]:
+        """The chain of :meth:`plane_paths` from ``k`` to a parallel line ``l``."""
+        self._require_parallel_pair(k, l)
+        path = self.plane_paths(k).get(l)
+        if path is None:
+            raise LemmaFalsified(
+                f"no plane chain joins lines {k} and {l} through their point at infinity"
+            )
+        return path
 
 
 def build_complement(ps: PolarSpace, horizon: int) -> Complement:

@@ -136,21 +136,28 @@ def is_isomorphism(
     if values and (min(values) < 0 or max(values) >= b.n_points):
         raise ValueError("mapping hits out-of-range points")
 
+    # Lines as masks, counted off the target's: a line repeats no point and
+    # the mapping is injective, so the sum of its image bits is the image's
+    # mask.  Only a failure builds point tuples, for its witness.
+    image_bit = [1 << mapping[p] for p in range(a.n_points)]
+    left = Counter(b.line_masks)
+    left.subtract(sum(map(image_bit.__getitem__, line)) for line in a.lines)
+    if not any(left.values()):
+        return True, {}
     images = [tuple(sorted(mapping[p] for p in line)) for line in a.lines]
     image_count = Counter(images)
     target_count = Counter(b.lines)
-    if image_count != target_count:
-        for i, img in enumerate(images):
-            if image_count[img] > target_count.get(img, 0):
-                return False, {
-                    "line": i,
-                    "image": list(img),
-                    "reason": "image is not a line of the target",
-                }
-        for line, cnt in target_count.items():
-            if image_count.get(line, 0) < cnt:
-                return False, {
-                    "target_line": list(line),
-                    "reason": "no line maps onto this target line",
-                }
+    for i, img in enumerate(images):
+        if image_count[img] > target_count.get(img, 0):
+            return False, {
+                "line": i,
+                "image": list(img),
+                "reason": "image is not a line of the target",
+            }
+    for line, cnt in target_count.items():
+        if image_count.get(line, 0) < cnt:
+            return False, {
+                "target_line": list(line),
+                "reason": "no line maps onto this target line",
+            }
     return True, {}

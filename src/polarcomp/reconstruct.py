@@ -4,10 +4,11 @@ The engine is :class:`Parallelism`.  Two disjoint proper lines are related
 by the crossing configuration when two further lines cross both and meet
 each other in a point off them.  Two coplanarity facts keep the work local.
 A crossing configuration lies in one singular plane, so the relation is
-built plane by plane.  A triangle of pairwise meeting lines spans one too,
-so ternary collinearity of directions looks for a triangle only in the
-planes holding members of all three classes.  The connected components of
-the relation's symmetric bit rows are the parallel classes of affine lines.
+built plane by plane, with a few bit tests per disjoint pair of the plane.
+A triangle of pairwise meeting lines spans one too, so ternary collinearity
+of directions looks for a triangle only in the planes holding members of
+all three classes.  The connected components of the relation's symmetric
+bit rows are the parallel classes of affine lines.
 
 New points are the parallel classes.  New lines come in two families: sets
 of mutually anti-euclidean classes (these recover lines of the horizon
@@ -21,7 +22,7 @@ on first use and kept.
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import product
 
 from .complement import Complement
 from .errors import HorizonRefusal, IntegrityError
@@ -42,10 +43,9 @@ class Parallelism:
     ``star_rows[i]`` holds the lines ``j`` disjoint from ``i`` for which two
     distinct lines ``t1``, ``t2`` cross both and meet each other in a point
     ``p`` off ``i`` and ``j``.  As ``p``, ``t1 & i`` and ``t2 & i`` are
-    pairwise collinear, all four lines lie in one singular plane.  So in
-    each plane, for each point ``p`` and two lines through it, any two
-    disjoint lines of the set ``C`` meeting both away from ``p`` are
-    related, and a related pair lies in the ``C`` of its own witness.
+    pairwise collinear, all four lines lie in one singular plane.  So two
+    disjoint lines of a plane are related when some point of the plane off
+    both carries two of the plane's lines that meet both.
     """
 
     def __init__(self, comp: Complement):
@@ -62,16 +62,15 @@ class Parallelism:
             for through in at.values():
                 for a in bits(through):
                     meets[a] |= through
-            crossing = set()
-            for through in at.values():
-                off_p = [meets[t] & ~through for t in bits(through)]
-                crossing.update(c1 & c2 for c1, c2 in combinations(off_p, 2))
-            rows = [0] * len(ids)
-            for c in crossing:
-                for a in bits(c):
-                    rows[a] |= c & ~meets[a]
-            for a, row in enumerate(rows):
-                star[ids[a]] |= mask_of(ids[b] for b in bits(row))
+            throughs, full = list(at.values()), (1 << len(ids)) - 1
+            for a, row in enumerate(meets):
+                for b in bits((full ^ row) >> (a + 1) << (a + 1)):  # disjoint, b > a
+                    both, ab = row & meets[b], 1 << a | 1 << b
+                    for t in throughs:
+                        if (t & both).bit_count() > 1 and not t & ab:
+                            star[ids[a]] |= 1 << ids[b]
+                            star[ids[b]] |= 1 << ids[a]
+                            break
         self.star_rows = star
 
         # Classes: connected components of the symmetric star rows, each

@@ -44,12 +44,16 @@ class CheckResult:
 def _joint_colors(a: IncidenceStructure, b: IncidenceStructure) -> tuple[list[int], list[int]]:
     """Iterated refinement of point colors, shared across both structures.
 
-    It starts from one color, so the first round separates points by the
-    sizes of their lines; each line's color profile is read once per round.
+    From one color the first round separates points only by the sorted
+    sizes of their lines, so it reads the sizes; when it gives one class, so
+    would every later round.  Later rounds read each line's profile once.
     """
 
     def refine(st: IncidenceStructure, colors: list[int], table: dict) -> list[int]:
-        profile = [tuple(sorted(colors[x] for x in line)) for line in st.lines]
+        if n_colors == 1:  # the first round: a line's profile is its size
+            profile: list = [len(line) for line in st.lines]
+        else:
+            profile = [tuple(sorted(colors[x] for x in line)) for line in st.lines]
         sigs = (tuple(sorted(profile[i] for i in st.lines_at(p))) for p in range(st.n_points))
         return [table.setdefault((c, sig), len(table)) for c, sig in zip(colors, sigs)]
 
@@ -66,9 +70,9 @@ def _joint_colors(a: IncidenceStructure, b: IncidenceStructure) -> tuple[list[in
 def find_isomorphism(a: IncidenceStructure, b: IncidenceStructure) -> dict[int, int] | None:
     """Backtracking isomorphism search with color-refinement pruning.
 
-    Deterministic: candidate orders are fixed by point ids.  Returns a point
-    mapping validated by :func:`is_isomorphism`, or None when the search
-    space is exhausted.
+    Deterministic: candidate orders are fixed by point ids.  Points and
+    lines are bitmasks throughout.  Returns a point mapping validated by
+    :func:`is_isomorphism`, or None when the search space is exhausted.
     """
     ca, cb = _joint_colors(a, b)
     class_size = Counter(cb)
@@ -84,7 +88,8 @@ def find_isomorphism(a: IncidenceStructure, b: IncidenceStructure) -> dict[int, 
     # with c ordered neighbours as bits over their (class size, id) ranks, so
     # the next point is the lowest bit of the highest nonempty bucket.
     by_rank = sorted(range(a.n_points), key=lambda p: (class_size[ca[p]], p))
-    rank = {p: r for r, p in enumerate(by_rank)}
+    # each point's rank bit, rank_bit[by_rank[r]] == 1 << r
+    rank_bit = [1 << r for r in sorted(range(a.n_points), key=by_rank.__getitem__)]
     attached = [0] * a.n_points
     buckets = [(1 << a.n_points) - 1] + [0] * a.n_points
     top = placed = 0
@@ -99,8 +104,8 @@ def find_isomorphism(a: IncidenceStructure, b: IncidenceStructure) -> dict[int, 
         placed |= 1 << best
         for q in bits(a.adj[best] & ~placed):
             attached[q] += 1
-            buckets[attached[q] - 1] ^= 1 << rank[q]
-            buckets[attached[q]] |= 1 << rank[q]
+            buckets[attached[q] - 1] ^= rank_bit[q]
+            buckets[attached[q]] |= rank_bit[q]
         top += 1  # a moved neighbour may now top the buckets
 
     # Bitmasks over b's line ids: the lines through two images are one AND.
@@ -108,11 +113,12 @@ def find_isomorphism(a: IncidenceStructure, b: IncidenceStructure) -> dict[int, 
 
     # Depth-first over candidates in id order, on an explicit stack: left[d]
     # holds the candidates of order[d] not tried yet, want[d] the images of
-    # its placed neighbours, image[p] its choice.  Forcing maps a's lines onto
-    # b's lines only where two points span one line, so a full assignment is
+    # its placed neighbours, image[p] its choice; placed_a and used_mask are
+    # the placed points and their images.  Forcing maps a's lines onto b's
+    # lines only where two points span one line, so a full assignment is
     # checked once and backtracked from if it is no isomorphism.
     image = [-1] * a.n_points
-    used_mask = 0
+    used_mask = placed_a = 0
     left = [0] * a.n_points
     want = [0] * a.n_points
     depth = 0
@@ -126,18 +132,23 @@ def find_isomorphism(a: IncidenceStructure, b: IncidenceStructure) -> dict[int, 
         p = order[depth]
         if image[p] >= 0:  # back from a dead end below: undo the choice
             used_mask ^= 1 << image[p]
+            placed_a ^= 1 << p
             image[p] = -1
         else:  # a fresh visit: p's unused color mates; each line of a on p with
-            # two placed points forces p onto a line of b through their images
+            # two placed points forces p onto a line of b through the images
+            # of its two least placed points
             cands = color_mask[ca[p]] & ~used_mask
-            near = 0
             for li in a.lines_at(p):
-                placed = [image[x] for x in a.lines[li] if image[x] >= 0]
-                near |= mask_of(placed)
-                if len(placed) >= 2:
-                    on_xy = b_line_ids[placed[0]] & b_line_ids[placed[1]]
-                    cands &= mask_of(v for m in bits(on_xy) for v in b.lines[m])
-            left[depth], want[depth] = cands, near
+                on = a.line_masks[li] & placed_a
+                if on & (on - 1):
+                    xy = bits(on)
+                    on_xy = b_line_ids[image[next(xy)]] & b_line_ids[image[next(xy)]]
+                    fit = 0
+                    for m in bits(on_xy):
+                        fit |= b.line_masks[m]
+                    cands &= fit
+            left[depth] = cands
+            want[depth] = mask_of(image[x] for x in bits(a.adj[p] & placed_a))
         # A candidate is adjacent to exactly want[depth] among the used images.
         while left[depth]:
             low = left[depth] & -left[depth]
@@ -146,6 +157,7 @@ def find_isomorphism(a: IncidenceStructure, b: IncidenceStructure) -> dict[int, 
             if b.adj[v] & used_mask == want[depth]:
                 image[p] = v
                 used_mask |= low
+                placed_a |= 1 << p
                 depth += 1
                 break
         else:
@@ -261,21 +273,24 @@ def run_lemma_battery(run: Run) -> list[CheckResult]:
         # concatenate at m, as the two planes meeting there both contain the
         # proper line m.  So chains from the first line of each fibre to the
         # other lines of that fibre join every parallel pair.
-        for k, l in ((first, l) for first, *rest in affine_fibres() for l in rest):
-            path = comp.plane_path(k, l)
-            if not path:
-                return {"lines": [k, l], "reason": "empty plane chain"}
+        for k, *rest in affine_fibres():
+            paths = comp.plane_paths(k)
             a = comp.point_at_infinity(k)
-            for pi in path:
-                if not (comp.planes()[pi] >> a) & 1:
-                    return {"lines": [k, l], "plane": pi, "reason": "plane misses the infinity"}
-            if k not in comp.plane_lines(path[0]):
-                return {"lines": [k, l], "reason": "first plane misses the first line"}
-            if l not in comp.plane_lines(path[-1]):
-                return {"lines": [k, l], "reason": "last plane misses the second line"}
-            for pi, pj in zip(path, path[1:]):
-                if set(comp.plane_lines(pi)).isdisjoint(comp.plane_lines(pj)):
-                    return {"lines": [k, l], "planes": [pi, pj], "reason": "no shared line"}
+            for l in rest:
+                # plane_path reads the same tree: it raises for a line the tree misses
+                path = paths[l] if l in paths else comp.plane_path(k, l)
+                if not path:
+                    return {"lines": [k, l], "reason": "empty plane chain"}
+                for pi in path:
+                    if not (comp.planes()[pi] >> a) & 1:
+                        return {"lines": [k, l], "plane": pi, "reason": "plane misses the infinity"}
+                if k not in comp.plane_lines(path[0]):
+                    return {"lines": [k, l], "reason": "first plane misses the first line"}
+                if l not in comp.plane_lines(path[-1]):
+                    return {"lines": [k, l], "reason": "last plane misses the second line"}
+                for pi, pj in zip(path, path[1:]):
+                    if set(comp.plane_lines(pi)).isdisjoint(comp.plane_lines(pj)):
+                        return {"lines": [k, l], "planes": [pi, pj], "reason": "no shared line"}
         return None
 
     def check_parallel_tables_match() -> dict | None:

@@ -9,8 +9,7 @@ from collections import Counter
 
 from polarcomp.algebra import normalize_point, pg_line, pg_points
 from polarcomp.complement import Complement
-from polarcomp.incidence import bits, is_isomorphism, mask_of
-from polarcomp.verify import _joint_colors
+from polarcomp.incidence import bits, mask_of
 
 
 def _poly_rem(poly, monic, p):
@@ -351,6 +350,37 @@ def crossing_scan(comp):
     return rows
 
 
+def plane_crossing_rows(comp):
+    """Row ``i``: the lines related to ``i``, plane by plane, from every
+    crossing set.  In a plane, for each point ``p`` and two lines ``t1``,
+    ``t2`` through it, the set holds the plane's lines meeting both away from
+    ``p``; any two disjoint lines of one set are related.  Each distinct set
+    of a plane is read once."""
+    lm = comp.line_trace
+    star = [0] * comp.n_lines
+    for pi in range(len(comp.planes())):
+        ids = comp.plane_lines(pi)
+        at = {}  # the plane's lines through each point, as local bits
+        for a, k in enumerate(ids):
+            for p in bits(lm[k]):
+                at[p] = at.get(p, 0) | 1 << a
+        meets = [0] * len(ids)
+        for through in at.values():
+            for a in bits(through):
+                meets[a] |= through
+        crossing = set()
+        for through in at.values():
+            off_p = [meets[t] & ~through for t in bits(through)]
+            crossing.update(c1 & c2 for c1, c2 in itertools.combinations(off_p, 2))
+        rows = [0] * len(ids)
+        for c in crossing:
+            for a in bits(c):
+                rows[a] |= c & ~meets[a]
+        for a, row in enumerate(rows):
+            star[ids[a]] |= mask_of(ids[b] for b in bits(row))
+    return star
+
+
 def ternary_scan(par):
     """The ternary-collinear class triples ``(c1, c2, c3)``, ``c1 < c2 < c3``,
     over the whole line set: mutually related, or with representatives
@@ -474,11 +504,55 @@ def lines_second_scan(par):
     return out
 
 
+def refined_colors(a, b):
+    """Joint color refinement of two structures from one color: each round
+    colors a point by its color and the sorted color profiles of its lines,
+    numbering the new colors in first-seen order over ``a``'s points, then
+    ``b``'s, until the number of colors stops growing."""
+
+    def refine(st, colors, table):
+        profile = [tuple(sorted(colors[x] for x in line)) for line in st.lines]
+        sigs = (tuple(sorted(profile[i] for i in st.lines_at(p))) for p in range(st.n_points))
+        return [table.setdefault((c, sig), len(table)) for c, sig in zip(colors, sigs)]
+
+    ca, cb, n_colors = [0] * a.n_points, [0] * b.n_points, 1
+    while True:
+        table = {}
+        na, nb = refine(a, ca, table), refine(b, cb, table)
+        if len(table) == n_colors:
+            return na, nb
+        n_colors = len(table)
+        ca, cb = na, nb
+
+
+def tuple_is_isomorphism(a, b, mapping):
+    """:func:`is_isomorphism` on sorted point tuples: the multiset of image
+    lines against the target's lines, with the first image that is not a
+    target line, else the first target line that no line maps onto."""
+    if set(mapping.keys()) != set(range(a.n_points)):
+        raise ValueError("mapping must be total on the first structure's points")
+    values = set(mapping.values())
+    if len(values) != len(mapping) or a.n_points != b.n_points:
+        raise ValueError("mapping must be a bijection between equal point sets")
+    if values and (min(values) < 0 or max(values) >= b.n_points):
+        raise ValueError("mapping hits out-of-range points")
+    images = [tuple(sorted(mapping[p] for p in line)) for line in a.lines]
+    image_count = Counter(images)
+    target_count = Counter(b.lines)
+    for i, img in enumerate(images):
+        if image_count[img] > target_count.get(img, 0):
+            return False, {"line": i, "image": list(img), "reason": "image is not a line of the target"}
+    for line, cnt in target_count.items():
+        if image_count.get(line, 0) < cnt:
+            return False, {"target_line": list(line), "reason": "no line maps onto this target line"}
+    return True, {}
+
+
 def unforced_isomorphism(a, b):
     """:func:`find_isomorphism` without line forcing: the same colors, static
     order and ascending candidates, pruned only by adjacency to the placed
     points and by the lines whose points are all placed."""
-    ca, cb = _joint_colors(a, b)
+    ca, cb = refined_colors(a, b)
     size = Counter(cb)
     if Counter(ca) != size:
         return None
@@ -508,4 +582,4 @@ def unforced_isomorphism(a, b):
             del image[p]
         return False
 
-    return image if extend(0) and is_isomorphism(a, b, image)[0] else None
+    return image if extend(0) and tuple_is_isomorphism(a, b, image)[0] else None

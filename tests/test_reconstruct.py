@@ -14,6 +14,8 @@ import random
 import types
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as hst
 
 from polarcomp import (
     Complement,
@@ -37,6 +39,7 @@ from oracles import (
     drop_proper_line,
     lines_prime_scan,
     lines_second_scan,
+    plane_crossing_rows,
     random_reach,
     star_parallel,
     star_table,
@@ -108,6 +111,45 @@ def test_star_rows_match_crossing_scan_sp63(sp63):
     rows = Parallelism(comp).star_rows
     assert any(rows)
     assert rows == crossing_scan(comp)
+
+
+@pytest.mark.parametrize(
+    "space, spec",
+    [("sp62", "point 0"), ("sp62", "line 0"), ("q53", "meet perp 0 perp 3"), ("herm54", "line 0")],
+)
+def test_star_rows_match_plane_crossing_oracle(space, spec, request):
+    """One bit test per disjoint pair gives the relation that the crossing
+    sets of each plane give, also with a line gone."""
+    ps = request.getfixturevalue(space)
+    comp = build_complement(ps, resolve_horizon(ps, spec))
+    aff = comp.affine_lines()
+    for c in (comp, drop_proper_line(comp, 0), drop_proper_line(comp, aff[len(aff) // 2])):
+        rows = Parallelism(c).star_rows
+        assert any(rows)
+        assert rows == plane_crossing_rows(c)
+
+
+@settings(max_examples=8, derandomize=True, deadline=None)
+@given(
+    hst.sampled_from(["sp62", "q52", "q62"]),
+    hst.sampled_from(["point", "line", "span", "perp-meet"]),
+    hst.integers(0, 10**6),
+    hst.integers(0, 10**6),
+)
+def test_star_rows_match_pairwise_oracle_on_random_horizons(request, space, kind, i, j):
+    ps = request.getfixturevalue(space)
+    st = ps.structure
+    spec = {
+        "point": f"point {i % st.n_points}",
+        "line": f"line {i % len(st.lines)}",
+        "span": f"span {i % st.n_points},{j % st.n_points}",
+        "perp-meet": f"meet perp {i % st.n_points} perp {j % st.n_points}",
+    }[kind]
+    try:
+        comp = build_complement(ps, resolve_horizon(ps, spec))
+    except HorizonRefusal:
+        assume(False)
+    assert Parallelism(comp).star_rows == star_table(comp)
 
 
 def test_herm54_point_horizon_is_recovered(gf4):

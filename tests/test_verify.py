@@ -10,6 +10,8 @@ import time
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 import polarcomp.verify as verify_module
 from polarcomp import (
@@ -34,6 +36,8 @@ from oracles import (
     fibration_mismatch,
     partial_linear_scan,
     random_reach,
+    refined_colors,
+    tuple_is_isomorphism,
     unforced_isomorphism,
 )
 
@@ -99,6 +103,34 @@ def test_mapping_usage_errors(sp62, q52):
     shifted = {p: p + 1 for p in range(st.n_points)}
     with pytest.raises(ValueError, match="out-of-range"):
         is_isomorphism(st, st, shifted)
+
+
+def test_is_isomorphism_matches_tuple_oracle(q52):
+    """Mask counts give the tuple oracle's answer and witness, on mutated
+    mappings and on targets with a duplicated, a missing or a swapped line."""
+    st = q52.structure
+    perm, moved = relabel(st, seed=3)
+    lines = moved.lines
+    targets = [
+        moved,
+        IncidenceStructure(st.n_points, lines + [lines[5]]),
+        IncidenceStructure(st.n_points, lines[1:]),
+        IncidenceStructure(st.n_points, lines[1:] + [lines[2]]),
+    ]
+    doubled = IncidenceStructure(st.n_points, st.lines + [st.lines[5]])
+    rnd = random.Random(11)
+    failures = 0
+    for trial in range(60):
+        image = list(perm)
+        for _ in range(trial % 4):  # zero to three swaps
+            x, y = rnd.sample(range(st.n_points), 2)
+            image[x], image[y] = image[y], image[x]
+        mapping = dict(enumerate(image))
+        for a, b in [(st, t) for t in targets] + [(doubled, targets[1]), (doubled, moved)]:
+            got = is_isomorphism(a, b, mapping)
+            assert got == tuple_is_isomorphism(a, b, mapping)
+            failures += not got[0]
+    assert failures > 200
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +226,46 @@ def test_static_order_ties_break_on_class_size(sp62):
     a = IncidenceStructure(st.n_points, st.lines[1:])
     b = relabel(a, 5)[1]
     assert len(set(Counter(_joint_colors(a, b)[0]).values())) >= 2
+    for x, y in ((a, b), (b, a)):
+        m = find_isomorphism(x, y)
+        assert m is not None and m == unforced_isomorphism(x, y)
+
+
+def test_joint_colors_match_refinement_oracle(sp62, q52, q62):
+    """Reading the first round from line sizes gives the oracle's colors, on
+    uniform structures, on mixed line sizes, and where mixed sizes still
+    leave one class."""
+    st = sp62.structure
+    minus = IncidenceStructure(st.n_points, st.lines[1:])
+    prism = IncidenceStructure(6, [(0, 1, 2), (3, 4, 5), (0, 3), (1, 4), (2, 5)])
+    # every point on two lines, sizes (2, 3) on the prism and (2, 2) on the hexagon
+    hexagon = [(6 + i, 6 + (i + 1) % 6) for i in range(6)]
+    prism_hexagon = IncidenceStructure(12, prism.lines + hexagon)
+    comp = build_complement(q52, resolve_horizon(q52, "meet perp 0 perp 1"))
+    mixed = reconstruct(Parallelism(comp)).structure
+    assert {len(line) for line in mixed.lines} == {2, 3}
+    pairs = [
+        (st, q62.structure),
+        (st, minus),
+        (minus, relabel(minus, 5)[1]),
+        (prism, relabel(prism, 2)[1]),
+        (prism_hexagon, relabel(prism_hexagon, 4)[1]),
+        (mixed, relabel(mixed, 7)[1]),
+        (q52.structure, mixed),
+    ]
+    for a, b in pairs:
+        for x, y in ((a, b), (b, a)):
+            assert _joint_colors(x, y) == refined_colors(x, y)
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(hst.sampled_from(["sp62", "q52", "q62", "minus"]), hst.integers(0, 10**6))
+def test_search_matches_unforced_on_random_relabellings(sp62, q52, q62, space, seed):
+    if space == "minus":
+        a = IncidenceStructure(sp62.structure.n_points, sp62.structure.lines[1:])
+    else:
+        a = {"sp62": sp62, "q52": q52, "q62": q62}[space].structure
+    b = relabel(a, seed)[1]
     for x, y in ((a, b), (b, a)):
         m = find_isomorphism(x, y)
         assert m is not None and m == unforced_isomorphism(x, y)
@@ -414,8 +486,8 @@ def test_avoiding_hyperplane_checks_every_parallel_pair(comp_q53_lperp, monkeypa
 
 
 def test_plane_chains_join_each_line_to_its_fibre_head(comp_q53_lperp, monkeypatch):
-    """Chains run from the first line of each fibre to every other line in it,
-    fibre by fibre; the check reports the first chain that fails."""
+    """One tree grows from the first line of each fibre, fibre by fibre, and
+    the check reports the first line, in fibre order, that a tree misses."""
     comp = comp_q53_lperp
     fibres: dict[int, list[int]] = {}
     for k in comp.affine_lines():
@@ -426,22 +498,23 @@ def test_plane_chains_join_each_line_to_its_fibre_head(comp_q53_lperp, monkeypat
     x = 201
     first = fibres[comp.point_at_infinity(x)][0]
     assert (first, x) == (146, 201)
-    path = Complement.plane_path
+    trees = Complement.plane_paths
     calls = []
 
-    def broken(self, k, l):
-        calls.append((k, l))
-        if x in (k, l):
-            raise LemmaFalsified(f"no chain for lines {k} and {l}")
-        return path(self, k, l)
+    def broken(self, k):
+        calls.append(k)
+        # x and the later lines of its fibre fall out of the tree
+        return {l: path for l, path in trees(self, k).items() if k != first or l < x}
 
-    monkeypatch.setattr(Complement, "plane_path", broken)
+    monkeypatch.setattr(Complement, "plane_paths", broken)
     results = {r.check_id: r for r in run_lemma_battery(Run(comp))}
     result = results["plane_chains"]
-    assert (result.status, result.witness) == (
-        "fail", {"error": f"no chain for lines {first} and {x}"}
-    )
-    assert calls == star[: star.index((first, x)) + 1]
+    error = f"no plane chain joins lines {first} and {x} through their point at infinity"
+    assert (result.status, result.witness) == ("fail", {"error": error})
+    heads = [f[0] for f in fibres.values()]
+    # one tree per fibre up to the failing one, whose tree plane_path grows
+    # once more to raise
+    assert calls == heads[: heads.index(first) + 1] + [first]
 
 
 @pytest.mark.parametrize("fixture", ["comp_point", "comp_line", "comp_q53_lperp"])
