@@ -138,26 +138,19 @@ def is_isomorphism(
 
     # Lines as masks, counted off the target's: a line repeats no point and
     # the mapping is injective, so the sum of its image bits is the image's
-    # mask.  Only a failure builds point tuples, for its witness.
+    # mask, and that mask's bits are its sorted point tuple.
     image_bit = [1 << mapping[p] for p in range(a.n_points)]
     left = Counter(b.line_masks)
     left.subtract(sum(map(image_bit.__getitem__, line)) for line in a.lines)
     if not any(left.values()):
         return True, {}
-    images = [tuple(sorted(mapping[p] for p in line)) for line in a.lines]
-    image_count = Counter(images)
-    target_count = Counter(b.lines)
-    for i, img in enumerate(images):
-        if image_count[img] > target_count.get(img, 0):
+    for i, line in enumerate(a.lines):
+        image = sum(map(image_bit.__getitem__, line))
+        if left[image] < 0:
             return False, {
                 "line": i,
-                "image": list(img),
+                "image": list(bits(image)),
                 "reason": "image is not a line of the target",
             }
-    for line, cnt in target_count.items():
-        if image_count.get(line, 0) < cnt:
-            return False, {
-                "target_line": list(line),
-                "reason": "no line maps onto this target line",
-            }
-    return True, {}
+    target = next(m for m, n in left.items() if n > 0)  # no image is over-counted
+    return False, {"target_line": list(bits(target)), "reason": "no line maps onto this target line"}

@@ -102,14 +102,15 @@ class Parallelism:
         full = (1 << self.n_classes) - 1
         self.related = [full & ~row for row in self.creach]
 
-        # The classes with a member in each plane; the planes of each class.
+        # The classes with a member in each plane; by transpose, the planes of each class.
         self.plane_classes = [
             mask_of(cid[k] for k in comp.plane_lines(pi) if k in cid)
             for pi in range(len(comp.planes()))
         ]
-        self.class_planes = [
-            mask_of(pi for k in cls for pi in comp.line_planes(k)) for cls in self.classes
-        ]
+        self.class_planes = [0] * self.n_classes
+        for pi, row in enumerate(self.plane_classes):
+            for c in bits(row):
+                self.class_planes[c] |= 1 << pi
 
     # -- the parallelism itself ---------------------------------------------
 

@@ -277,8 +277,10 @@ def run_lemma_battery(run: Run) -> list[CheckResult]:
             paths = comp.plane_paths(k)
             a = comp.point_at_infinity(k)
             for l in rest:
-                # plane_path reads the same tree: it raises for a line the tree misses
-                path = paths[l] if l in paths else comp.plane_path(k, l)
+                if l not in paths:
+                    msg = f"no plane chain joins lines {k} and {l} through their point at infinity"
+                    raise LemmaFalsified(msg)
+                path = paths[l]
                 if not path:
                     return {"lines": [k, l], "reason": "empty plane chain"}
                 for pi in path:

@@ -96,6 +96,11 @@ def q72(gf2):
 
 
 @pytest.fixture(scope="session")
+def qm92(gf2):
+    return build_polar(elliptic_form(9, gf2))
+
+
+@pytest.fixture(scope="session")
 def comp_point(sp62):
     """Complement of a single point in the symplectic space."""
     return build_complement(sp62, 1 << 0)

@@ -14,7 +14,7 @@ import random
 import types
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as hst
 
 from polarcomp import (
@@ -129,7 +129,8 @@ def test_star_rows_match_plane_crossing_oracle(space, spec, request):
         assert rows == plane_crossing_rows(c)
 
 
-@settings(max_examples=8, derandomize=True, deadline=None)
+# no shrink phase: every shrink step would rerun the slow oracle
+@settings(max_examples=8, derandomize=True, deadline=None, phases=(Phase.explicit, Phase.generate))
 @given(
     hst.sampled_from(["sp62", "q52", "q62"]),
     hst.sampled_from(["point", "line", "span", "perp-meet"]),
@@ -226,9 +227,10 @@ def test_parallel_is_reflexive_exactly_on_affine(par_line, comp_line):
         assert bool((table[k] >> k) & 1) == comp_line.is_affine(k)
 
 
-# The complement's ground-truth horizon geometry; the reconstruction must
-# not read it.
-HORIZON_READS = [
+# The complement's ground-truth horizon geometry, and the plane transpose and
+# chain trees that only the battery reads; the reconstruction must read
+# neither.
+NOT_READ_BY_RECOVERY = [
     "semiaffine_planes",
     "plane_horizon",
     "deep_points",
@@ -239,6 +241,10 @@ HORIZON_READS = [
     "direction_of",
     "is_affine",
     "affine_lines",
+    "line_planes",
+    "plane_paths",
+    "plane_path",
+    "lines_at_point",
 ]
 
 
@@ -246,17 +252,21 @@ HORIZON_READS = [
 def test_reconstruction_reads_no_horizon_data(space, spec, request, monkeypatch):
     ps = request.getfixturevalue(space)
     horizon = resolve_horizon(ps, spec)
+    # not mutually related, so ternary_collinear searches the planes they share
+    triple = {"q53": (0, 2, 10), "sp62": (0, 1, 2)}[space]
 
     def families():
         par = Parallelism(build_complement(ps, horizon))
-        return par.lines_prime(), par.lines_second(), reconstruct(par).families
+        collinear = par.ternary_collinear(*triple)
+        return par.lines_prime(), par.lines_second(), reconstruct(par).families, collinear
 
     expected = families()
+    assert expected[3] is True
 
     def refuse(*args):
-        raise AssertionError("the reconstruction read horizon data")
+        raise AssertionError("the reconstruction read data it must not")
 
-    for name in HORIZON_READS:
+    for name in NOT_READ_BY_RECOVERY:
         monkeypatch.setattr(Complement, name, refuse)
     assert families() == expected
 
