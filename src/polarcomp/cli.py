@@ -174,7 +174,7 @@ def _run_single(
             cmap, map_error = None, str(exc)
         payload = {
             "n_points": recon.structure.n_points,
-            "n_proper_points": recon.n_proper,
+            "n_proper_points": len(run.complement.proper_points),
             "families": {
                 name: [list(line) for line in lines]
                 for name, lines in recon.families.items()

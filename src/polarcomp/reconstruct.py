@@ -15,9 +15,10 @@ of mutually anti-euclidean classes (these recover lines of the horizon
 that no plane reaches) and per-plane direction sets.  The assembly reads
 only proper lines and planes, never the horizon, whose ground-truth data
 is consulted only by :func:`canonical_map` and the verification layer.
-:class:`Run` holds one configuration's chain (complement, parallelism,
-reconstruction, canonical map and its isomorphism check), each stage built
-on first use and kept.
+:class:`Run` holds one configuration's chain: the parallelism reads the
+complement, the reconstruction and the canonical map each read the
+parallelism, and the isomorphism check reads those two.  Each stage is
+built on first use and kept.
 """
 
 from __future__ import annotations
@@ -173,17 +174,9 @@ class Parallelism:
 class ReconstructedStructure:
     """The rebuilt ambient space with its tagged line families."""
 
-    def __init__(
-        self,
-        structure: IncidenceStructure,
-        n_proper: int,
-        families: dict[str, list[tuple[int, ...]]],
-        parallelism: Parallelism,
-    ):
+    def __init__(self, structure: IncidenceStructure, families: dict[str, list[tuple[int, ...]]]):
         self.structure = structure
-        self.n_proper = n_proper
         self.families = families
-        self.parallelism = parallelism
 
 
 def reconstruct(par: Parallelism) -> ReconstructedStructure:
@@ -206,24 +199,20 @@ def reconstruct(par: Parallelism) -> ReconstructedStructure:
     second = [tuple(n_proper + c for c in group) for group in par.lines_second()]
 
     st = IncidenceStructure(n_proper + par.n_classes, extended + prime + second)
-    return ReconstructedStructure(
-        structure=st,
-        n_proper=n_proper,
-        families={"extended": extended, "prime": prime, "second": second},
-        parallelism=par,
-    )
+    return ReconstructedStructure(st, {"extended": extended, "prime": prime, "second": second})
 
 
-def canonical_map(recon: ReconstructedStructure) -> dict[int, int]:
+def canonical_map(par: Parallelism) -> dict[int, int]:
     """Map reconstructed point ids onto base point ids.
 
     Proper points map to themselves; each class maps to the common point at
-    infinity of its members.  Any ambiguity falsifies the theory and raises
-    :class:`IntegrityError` rather than guessing.
+    infinity of its members.  The ids are those :func:`reconstruct` gives,
+    so the map reads the parallelism alone.  Any ambiguity falsifies the
+    theory and raises :class:`IntegrityError` rather than guessing.
     """
-    par = recon.parallelism
     comp = par.comp
-    mapping = {local: base for base, local in comp.local_index.items()}
+    n_proper = len(comp.proper_points)
+    mapping = dict(enumerate(comp.proper_points))
     seen: dict[int, int] = {}
     for c, members in enumerate(par.classes):
         direction = comp.direction_of(members)
@@ -232,7 +221,7 @@ def canonical_map(recon: ReconstructedStructure) -> dict[int, int]:
         if direction in seen:
             raise IntegrityError(f"classes {seen[direction]} and {c} share direction {direction}")
         seen[direction] = c
-        mapping[recon.n_proper + c] = direction
+        mapping[n_proper + c] = direction
     uncovered = comp.horizon & ~mask_of(seen)
     if uncovered:
         raise IntegrityError(f"horizon points {list(bits(uncovered))} have no direction")
@@ -260,8 +249,8 @@ def _stage(build):
 class Run:
     """One configuration's derived stages, each built on first use and kept.
 
-    Over a hyperplane horizon (``delegated``) there is no parallelism and the
-    reconstruction refuses: that case is recovered by a different
+    Over a hyperplane horizon (``delegated``) the parallelism stage refuses,
+    and so every stage read from it: that case is recovered by a different
     construction and is out of scope here.  A stage that raises keeps its
     exception and re-raises it to every reader, so a failing stage is built
     once however many readers ask for it.
@@ -277,18 +266,18 @@ class Run:
         return self.complement.over_horizon == [self.complement.horizon]
 
     @_stage
-    def parallelism(self) -> Parallelism | None:
-        return None if self.delegated else Parallelism(self.complement)
+    def parallelism(self) -> Parallelism:
+        if self.delegated:
+            raise HorizonRefusal("hyperplane horizon: delegated case")
+        return Parallelism(self.complement)
 
     @_stage
     def reconstruction(self) -> ReconstructedStructure:
-        if self.parallelism is None:
-            raise HorizonRefusal("hyperplane horizon: delegated case")
         return reconstruct(self.parallelism)
 
     @_stage
     def canonical_map(self) -> dict[int, int]:
-        return canonical_map(self.reconstruction)
+        return canonical_map(self.parallelism)
 
     @_stage
     def canonical_isomorphism(self) -> tuple[bool, dict]:

@@ -18,9 +18,10 @@ import polarcomp.polar as polar_module
 import polarcomp.reconstruct as reconstruct_module
 import polarcomp.verify as verify_module
 from polarcomp.cli import main
-from polarcomp.complement import Complement, resolve_horizon
+from polarcomp.complement import Complement, build_complement, resolve_horizon
+from polarcomp.errors import HorizonRefusal
 from polarcomp.incidence import IncidenceStructure
-from polarcomp.reconstruct import Parallelism
+from polarcomp.reconstruct import Parallelism, Run, canonical_map
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -340,6 +341,34 @@ def test_run_builds_parallelism_at_most_once(tmp_path, monkeypatch, horizon, tas
         {"parallelism": builds, "reconstruct": builds, "canonical_map": builds,
          "is_isomorphism": 2 * builds, "structures": 1 + builds}
     )
+
+
+@pytest.mark.parametrize("space, horizon", [("sp62", "point 0"), ("q53", "meet perp 0 perp 3")])
+def test_canonical_map_reads_only_the_parallelism(request, monkeypatch, space, horizon):
+    """With every binding of ``reconstruct`` broken, ``Run.canonical_map``
+    still returns the map the parallelism alone gives."""
+    ps = request.getfixturevalue(space)
+    horizon_mask = resolve_horizon(ps, horizon)
+    expected = canonical_map(Parallelism(build_complement(ps, horizon_mask)))
+
+    def no_reconstruction(par):
+        raise AssertionError("reconstruction built")
+
+    _patch_every_binding(monkeypatch, reconstruct_module.reconstruct, no_reconstruction)
+    assert Run(build_complement(ps, horizon_mask)).canonical_map == expected
+
+
+def test_hyperplane_horizon_refuses_at_the_parallelism(sp62, monkeypatch):
+    """Over a hyperplane horizon the parallelism stage itself refuses,
+    before any :class:`Parallelism` is built."""
+
+    def no_parallelism(self, comp):
+        raise AssertionError("parallelism built")
+
+    monkeypatch.setattr(Parallelism, "__init__", no_parallelism)
+    run = Run(build_complement(sp62, resolve_horizon(sp62, "perp 0")))
+    with pytest.raises(HorizonRefusal, match="delegated"):
+        run.parallelism
 
 
 @pytest.mark.parametrize("form, horizon", [("q+:5:2", "point 0"), ("q-:7:2", "line 0")])

@@ -355,12 +355,12 @@ def test_reconstruct_point_horizon(par_point, sp62):
     st = recon.structure
     assert st.n_points == 63
     assert len(st.lines) == 315
-    assert recon.n_proper == 62
+    assert len(par_point.comp.proper_points) == 62
     assert len(recon.families["extended"]) == 315
     assert recon.families["prime"] == []
     assert recon.families["second"] == []
-    mapping = canonical_map(recon)
-    assert mapping[recon.n_proper] == 0  # the class lands on the removed point
+    mapping = canonical_map(par_point)
+    assert mapping[len(par_point.comp.proper_points)] == 0  # the class lands on the removed point
     ok, cert = is_isomorphism(st, sp62.structure, mapping)
     assert ok, cert
 
@@ -370,14 +370,15 @@ def test_reconstruct_line_horizon(par_line, sp62):
     assert recon.structure.n_points == 63
     assert len(recon.structure.lines) == 315
     assert len(recon.families["second"]) == 1
-    ok, cert = is_isomorphism(recon.structure, sp62.structure, canonical_map(recon))
+    ok, cert = is_isomorphism(recon.structure, sp62.structure, canonical_map(par_line))
     assert ok, cert
 
 
 def test_reconstruct_refuses_hyperplane_horizon(sp62):
     comp = build_complement(sp62, sp62.structure.adj[0])
     run = Run(comp)
-    assert run.parallelism is None
+    with pytest.raises(HorizonRefusal, match="delegated"):
+        run.parallelism
     with pytest.raises(HorizonRefusal, match="delegated"):
         run.reconstruction
 
@@ -392,7 +393,7 @@ def test_package_attribute_is_the_reconstruct_module():
 def test_reconstruct_empty_horizon(sp62):
     run = Run(build_complement(sp62, 0))
     recon = run.reconstruction
-    assert recon.parallelism.n_classes == 0
+    assert run.parallelism.n_classes == 0
     ok, _ = is_isomorphism(recon.structure, sp62.structure, run.canonical_map)
     assert ok
 
@@ -468,7 +469,7 @@ def test_q53_reconstruction_counts(par_q53, q53):
     # every line is built ascending: class points follow the proper points
     for lines in recon.families.values():
         assert all(a < b for line in lines for a, b in zip(line, line[1:]))
-    ok, cert = is_isomorphism(recon.structure, q53.structure, canonical_map(recon))
+    ok, cert = is_isomorphism(recon.structure, q53.structure, canonical_map(par_q53))
     assert ok, cert
 
 
