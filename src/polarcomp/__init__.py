@@ -1,6 +1,6 @@
 """Polar spaces over small fields, subspace complements, and reconstruction."""
 
-from .algebra import GF, normalize_point, pg_line, pg_points
+from .algebra import GF, pg_points
 from .complement import Complement, build_complement, resolve_horizon
 from .errors import ConfigurationError, HorizonRefusal, IntegrityError, LemmaFalsified
 from .incidence import IncidenceStructure, bits, mask_of
@@ -26,9 +26,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "GF",
-    "normalize_point",
     "pg_points",
-    "pg_line",
     "IncidenceStructure",
     "bits",
     "mask_of",

@@ -122,7 +122,7 @@ def _complement_payload(run: Run) -> dict:
         "deep_lines": [list(st.lines[li]) for li in comp.deep_lines()],
         "n_planes": n_planes,
         "n_semiaffine_planes": n_semiaffine,
-        "horizon_is_hyperplane": run.delegated,
+        "horizon_is_hyperplane": comp.horizon_is_hyperplane,
     }
 
 

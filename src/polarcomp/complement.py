@@ -41,8 +41,7 @@ class Complement:
             raise ValueError("horizon must be a subspace of the base space")
         if horizon == st.full_mask:
             raise HorizonRefusal("horizon equals the whole point set")
-        # The candidate hyperplanes containing the horizon: exactly
-        # ``[horizon]`` when it is a hyperplane, as hyperplanes are maximal.
+        # The candidate hyperplanes containing the horizon.
         self.over_horizon = base.hyperplane_candidates(horizon)
         if not self.over_horizon:
             raise HorizonRefusal("horizon lies in no candidate hyperplane")
@@ -73,6 +72,12 @@ class Complement:
         self._planes: list[int] | None = None
         self._plane_ids: list[tuple[int, ...]] = []
         self._line_planes: list[list[int]] | None = None
+
+    @property
+    def horizon_is_hyperplane(self) -> bool:
+        """The one candidate over the horizon is the horizon itself, exactly
+        when it is a hyperplane, as hyperplanes are maximal."""
+        return self.over_horizon == [self.horizon]
 
     # -- lines and parallelism --------------------------------------------
 

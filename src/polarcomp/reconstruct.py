@@ -249,25 +249,20 @@ def _stage(build):
 class Run:
     """One configuration's derived stages, each built on first use and kept.
 
-    Over a hyperplane horizon (``delegated``) the parallelism stage refuses,
-    and so every stage read from it: that case is recovered by a different
-    construction and is out of scope here.  A stage that raises keeps its
-    exception and re-raises it to every reader, so a failing stage is built
-    once however many readers ask for it.
+    Over a hyperplane horizon the parallelism stage refuses, and so every
+    stage read from it: that case is recovered by a different construction
+    and is out of scope here.  A stage that raises keeps its exception and
+    re-raises it to every reader, so a failing stage is built once however
+    many readers ask for it.
     """
 
     def __init__(self, comp: Complement):
         self.complement = comp
         self._kept: dict = {}
 
-    @property
-    def delegated(self) -> bool:
-        """The horizon is a hyperplane: the one candidate hyperplane over it."""
-        return self.complement.over_horizon == [self.complement.horizon]
-
     @_stage
     def parallelism(self) -> Parallelism:
-        if self.delegated:
+        if self.complement.horizon_is_hyperplane:
             raise HorizonRefusal("hyperplane horizon: delegated case")
         return Parallelism(self.complement)
 

@@ -13,7 +13,7 @@ from collections import Counter
 from functools import cache
 
 from .complement import Complement
-from .errors import IntegrityError, LemmaFalsified
+from .errors import HorizonRefusal, IntegrityError, LemmaFalsified
 from .incidence import IncidenceStructure, bits, is_isomorphism, mask_of
 from .polar import _partial_linear_witness
 from .reconstruct import Run
@@ -205,7 +205,6 @@ def run_lemma_battery(run: Run) -> list[CheckResult]:
     """
     comp = run.complement
     st = comp.base.structure
-    delegated = run.delegated
 
     def check_partial_linear() -> dict | None:
         rows: dict[int, list[int]] = {p: [] for p in comp.proper_points}
@@ -236,7 +235,7 @@ def run_lemma_battery(run: Run) -> list[CheckResult]:
 
     def check_deep_points() -> dict | None:
         deep = comp.deep_points()
-        if delegated:
+        if st.is_hyperplane(comp.horizon):
             if deep.bit_count() > 1:
                 return {"deep_points": list(bits(deep)), "reason": "more than one deep point"}
             if deep & ~st.radical_of(comp.horizon):
@@ -465,16 +464,13 @@ def run_lemma_battery(run: Run) -> list[CheckResult]:
         ("ambient_recovery", check_ambient_recovery),
     ]
     results = [_timed(check_id, fn) for check_id, fn in ground]
-    # Over a hyperplane horizon only the ground-side properties are in scope:
-    # recovery is delegated, and the crossing configuration has no room in
-    # the order-2 affine planes such a horizon leaves behind.
-    if delegated:
-        reason = "hyperplane horizon: delegated case"
-        return results + [CheckResult(check_id, "skip", {"reason": reason}) for check_id, _ in intrinsic]
-    # Build the parallelism outside the checks' times; a failed stage keeps
-    # its exception, so each check that reads it still reports it.
+    # Build the parallelism outside the checks' times.  Where the run refuses
+    # it, only the ground-side properties are in scope; any other failed stage
+    # keeps its exception, so each check that reads it still reports it.
     try:
         run.parallelism
+    except HorizonRefusal as exc:
+        return results + [CheckResult(check_id, "skip", {"reason": str(exc)}) for check_id, _ in intrinsic]
     except Exception:
         pass
     return results + [_timed(check_id, fn) for check_id, fn in intrinsic]

@@ -7,8 +7,8 @@ down the choice of modulus on top.
 
 import pytest
 
-from polarcomp import GF, normalize_point, pg_line, pg_points
-from polarcomp.algebra import DEFAULT_MODULI
+from polarcomp import GF, pg_points
+from polarcomp.algebra import DEFAULT_MODULI, normalize_point, pg_line
 from oracles import field_digits, field_mul, field_pack, is_irreducible
 
 ORDERS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16]

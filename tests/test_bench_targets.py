@@ -34,6 +34,20 @@ def _namespaces():
     return out
 
 
+def test_tracer_hooks_find_every_attribute(tmp_path):
+    """A traced run reads every attribute its counting hooks ask for."""
+    layers = _load_layers()
+    tracer = layers.Tracer()
+    try:
+        tracer.install()
+        cli = importlib.import_module("polarcomp.cli")
+        argv = ["run", "--form", "q+:5:2", "--horizon", "point 0", "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
+    finally:
+        tracer.uninstall()
+    assert tracer.absent == set()
+
+
 def test_tracer_finds_every_target_and_restores_it():
     layers = _load_layers()
     for name in layers.MODULES:  # the tracer imports these; load them first

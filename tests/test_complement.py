@@ -13,7 +13,6 @@ from polarcomp import (
     IntegrityError,
     LemmaFalsified,
     Parallelism,
-    Run,
     build_complement,
     build_polar,
     hyperbolic_form,
@@ -352,7 +351,7 @@ def test_delegated_exactly_over_hyperplanes(space, horizon, request):
     exactly when the horizon is a hyperplane."""
     ps = request.getfixturevalue(space)
     comp = build_complement(ps, _horizon(ps, horizon))
-    delegated = Run(comp).delegated
+    delegated = comp.horizon_is_hyperplane
     assert delegated == ps.structure.is_hyperplane(comp.horizon)
     assert delegated == horizon.startswith(("perp", "section"))
 

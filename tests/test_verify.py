@@ -17,6 +17,7 @@ import polarcomp.verify as verify_module
 from polarcomp import (
     Complement,
     build_complement,
+    HorizonRefusal,
     IncidenceStructure,
     LemmaFalsified,
     find_isomorphism,
@@ -343,13 +344,13 @@ def test_battery_and_reconstruction_walk_no_base_plane_list(qm72, monkeypatch):
     assert run.canonical_isomorphism[0] is True
 
 
-def test_battery_delegates_hyperplane_horizons(sp62):
-    # Over a hyperplane every residual plane is an order-2 affine plane, so
-    # the crossing configuration has no witnesses; only the ground-side
-    # checks are meaningful and everything intrinsic must report a skip.
-    from polarcomp import build_complement
-
-    comp = build_complement(sp62, sp62.structure.adj[0])
+@pytest.mark.parametrize("space", ["sp62", "q53", "sp63"])
+def test_battery_delegates_hyperplane_horizons(space, request):
+    # Over a hyperplane horizon the run refuses its parallelism, so only the
+    # ground-side checks are in scope and everything intrinsic must report a
+    # skip, at every order.
+    ps = request.getfixturevalue(space)
+    comp = build_complement(ps, ps.structure.adj[0])
     results = {r.check_id: r for r in run_lemma_battery(Run(comp))}
     for check_id in ("partial_linear", "affine_fibration", "deep_points",
                      "avoiding_hyperplane", "plane_chains"):
@@ -370,6 +371,31 @@ def test_battery_delegates_hyperplane_horizons(sp62):
         assert results[check_id].witness == {"reason": "hyperplane horizon: delegated case"}
     failed = [r.check_id for r in results.values() if r.status == "fail"]
     assert failed == []
+
+
+def test_battery_skips_on_the_runs_refusal(sp62, monkeypatch):
+    """The battery skips exactly when the run refuses its parallelism, and
+    gives the refusal as the reason, whatever the horizon."""
+    comp = build_complement(sp62, resolve_horizon(sp62, "point 0"))
+
+    def refuse(self):
+        raise HorizonRefusal("stand-in reason")
+
+    monkeypatch.setattr(Run, "parallelism", property(refuse))
+    results = run_lemma_battery(Run(comp))
+    assert [r.check_id for r in results] == BATTERY_IDS
+    assert [r.status for r in results] == ["pass"] * 5 + ["skip"] * 9
+    for r in results[5:]:
+        assert r.witness == {"reason": "stand-in reason"}, r.check_id
+
+
+def test_deep_points_read_the_base_space(sp62):
+    """The deep-point check asks the base space whether the horizon is a
+    hyperplane, not the complement's candidate list."""
+    comp = build_complement(sp62, resolve_horizon(sp62, "perp 0"))
+    comp.over_horizon = [comp.horizon] * 2  # the run no longer refuses
+    results = {r.check_id: r for r in run_lemma_battery(Run(comp))}
+    assert results["deep_points"].status == "pass", results["deep_points"].witness
 
 
 def test_battery_detects_a_dropped_line(comp_point):
