@@ -5,7 +5,6 @@ from .complement import Complement, build_complement, resolve_horizon
 from .errors import ConfigurationError, HorizonRefusal, IntegrityError, LemmaFalsified
 from .incidence import IncidenceStructure, bits, mask_of
 from .polar import (
-    AxiomReport,
     FormSpec,
     PolarSpace,
     build_polar,
@@ -19,7 +18,7 @@ from .polar import (
 )
 # The function ``reconstruct`` stays in its module, so that the package's
 # ``reconstruct`` attribute is that module.
-from .reconstruct import Parallelism, ReconstructedStructure, Run, canonical_map
+from .reconstruct import Parallelism, Run, canonical_map
 from .verify import CheckResult, find_isomorphism, is_isomorphism, run_lemma_battery
 
 __version__ = "0.1.0"
@@ -32,7 +31,6 @@ __all__ = [
     "mask_of",
     "FormSpec",
     "PolarSpace",
-    "AxiomReport",
     "symplectic_form",
     "parabolic_form",
     "hyperbolic_form",
@@ -45,7 +43,6 @@ __all__ = [
     "build_complement",
     "resolve_horizon",
     "Parallelism",
-    "ReconstructedStructure",
     "canonical_map",
     "Run",
     "CheckResult",

@@ -140,8 +140,8 @@ def _run_single(
 
     if "axioms" in tasks:
         report = check_polar_axioms(ps)
-        _emit(report.as_dict(), os.path.join(outdir, "axioms.json"))
-        if not report.all_ok:
+        _emit(report, os.path.join(outdir, "axioms.json"))
+        if not report["all_ok"]:
             failed += 1
 
     if set(tasks) <= {"axioms"}:

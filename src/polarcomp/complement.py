@@ -61,9 +61,10 @@ class Complement:
             if not m & self.proper_mask:
                 self.horizon_line_ids.append(k)
                 continue
-            self.line_trace.append(m & self.proper_mask)
-            self.line_closure.append(k)
             inf = m & horizon
+            # A line missing the horizon shares its base mask's int: no second copy.
+            self.line_trace.append(m & self.proper_mask if inf else m)
+            self.line_closure.append(k)
             self._infinity.append(inf.bit_length() - 1 if inf else None)
 
         self.n_lines = len(self.line_trace)

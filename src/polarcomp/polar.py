@@ -19,7 +19,6 @@ from .incidence import IncidenceStructure, bits
 __all__ = [
     "FormSpec",
     "PolarSpace",
-    "AxiomReport",
     "symplectic_form",
     "parabolic_form",
     "hyperbolic_form",
@@ -401,31 +400,6 @@ def build_polar(form: FormSpec) -> PolarSpace:
     return ps
 
 
-class AxiomReport:
-    def __init__(
-        self,
-        partial_linear: bool,
-        thick: bool,
-        nondegenerate: bool,
-        one_or_all: bool,
-        rank: int,
-        witnesses: dict,
-    ):
-        self.partial_linear = partial_linear
-        self.thick = thick
-        self.nondegenerate = nondegenerate
-        self.one_or_all = one_or_all
-        self.rank = rank
-        self.witnesses = witnesses
-
-    @property
-    def all_ok(self) -> bool:
-        return self.partial_linear and self.thick and self.nondegenerate and self.one_or_all
-
-    def as_dict(self) -> dict:
-        return {**vars(self), "all_ok": self.all_ok}
-
-
 def _partial_linear_witness(
     rows: Iterable[tuple[int, Sequence[int]]], lm: list[int]
 ) -> dict | None:
@@ -464,11 +438,10 @@ def _one_or_all_witness(st: IncidenceStructure) -> dict | None:
     return None
 
 
-def check_polar_axioms(obj: "PolarSpace | IncidenceStructure") -> AxiomReport:
-    """Exhaustively check the polar-space axioms, with witnesses on failure."""
+def check_polar_axioms(obj: "PolarSpace | IncidenceStructure") -> dict:
+    """Exhaustively check the polar-space axioms: a flag per axiom, ``all_ok``,
+    the rank, and a witness for each failing axiom."""
     st = obj.structure if isinstance(obj, PolarSpace) else obj
-    witnesses: dict = {}
-
     # |adj[p]| - 1 is at most the sum of |L| - 1 over the lines L on p, with
     # equality iff those lines share no second point; summed over p, the
     # right side is the sum of |L|(|L| - 1), so the scan runs only on a mismatch.
@@ -476,25 +449,18 @@ def check_polar_axioms(obj: "PolarSpace | IncidenceStructure") -> AxiomReport:
     if sum(a.bit_count() - 1 for a in st.adj) != sum(k * (k - 1) for k in map(len, st.lines)):
         rows = ((p, st.lines_at(p)) for p in range(st.n_points))
         pl = _partial_linear_witness(rows, st.line_masks)
-        witnesses["partial_linear"] = pl
-
     thin = next((i for i, line in enumerate(st.lines) if len(line) < 3), None)
-    if thin is not None:
-        witnesses["thick"] = {"line": thin}
-
     deg = next((p for p in range(st.n_points) if st.adj[p] == st.full_mask), None)
-    if deg is not None:
-        witnesses["nondegenerate"] = {"point": deg}
-
-    oa = _one_or_all_witness(st)
-    if oa is not None:
-        witnesses["one_or_all"] = oa
-
-    return AxiomReport(
-        partial_linear=pl is None,
-        thick=thin is None,
-        nondegenerate=deg is None,
-        one_or_all=oa is None,
-        rank=obj.rank if isinstance(obj, PolarSpace) else compute_rank(st),
-        witnesses=witnesses,
-    )
+    found = {
+        "partial_linear": pl,
+        "thick": None if thin is None else {"line": thin},
+        "nondegenerate": None if deg is None else {"point": deg},
+        "one_or_all": _one_or_all_witness(st),
+    }
+    ok = {name: w is None for name, w in found.items()}
+    return {
+        **ok,
+        "all_ok": all(ok.values()),
+        "rank": obj.rank if isinstance(obj, PolarSpace) else compute_rank(st),
+        "witnesses": {name: w for name, w in found.items() if w is not None},
+    }

@@ -217,15 +217,15 @@ def run_lemma_battery(run: Run) -> list[CheckResult]:
         w = comp.horizon
         # Ground fibres: closures meeting the horizon in the same point.
         meets = [st.line_masks[b] & w for b in comp.line_closure]
-        fibres: dict[int, int] = {}
+        fibres = {0: 0}  # a closure missing the horizon is parallel to nothing
         for k, m in enumerate(meets):
             cnt = m.bit_count()
             if cnt > 1:
                 return {"line": k, "reason": f"closure meets the horizon in {cnt} points"}
             if (cnt == 1) != comp.is_affine(k):
                 return {"line": k, "reason": "affine flag disagrees with the closure"}
-            fibres[m] = fibres.get(m, 0) | (1 << k)
-        fibres[0] = 0  # a closure missing the horizon is parallel to nothing
+            if m:
+                fibres[m] = fibres.get(m, 0) | (1 << k)
         for k, row in enumerate(comp.parallel_table()):
             diff = (fibres[meets[k]] ^ row) >> k
             if diff:

@@ -198,7 +198,8 @@ def rank_scan(st):
 
 
 def axioms_scan(st):
-    """The axiom report's ``as_dict()``, every axiom checked by a plain scan."""
+    """The axiom report as ``axioms.json`` holds it, every axiom checked by a
+    plain scan."""
     thin = next((i for i, line in enumerate(st.lines) if len(line) < 3), None)
     deg = next((p for p in range(st.n_points) if st.adj[p] == st.full_mask), None)
     found = {

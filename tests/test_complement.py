@@ -119,6 +119,15 @@ def test_direction_of(comp_line):
     assert comp_line.direction_of([]) is None
 
 
+def test_lines_off_the_horizon_keep_their_base_mask(q53):
+    comp = build_complement(q53, resolve_horizon(q53, "point 0"))
+    masks = q53.structure.line_masks
+    whole = [k for k in range(comp.n_lines) if not comp.is_affine(k)]
+    assert whole
+    for k in whole:
+        assert comp.line_trace[k] is masks[comp.line_closure[k]], k
+
+
 def test_lines_at_point(comp_point):
     for p in comp_point.proper_points[:10]:
         ids = list(bits(comp_point.lines_at_point(p)))
