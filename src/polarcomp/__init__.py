@@ -2,7 +2,7 @@
 
 from .algebra import GF, pg_points
 from .complement import Complement, build_complement, resolve_horizon
-from .errors import ConfigurationError, HorizonRefusal, IntegrityError, LemmaFalsified
+from .errors import ConfigurationError, HorizonRefusal, LemmaFalsified
 from .incidence import IncidenceStructure, bits, mask_of
 from .polar import (
     FormSpec,
@@ -52,5 +52,4 @@ __all__ = [
     "ConfigurationError",
     "HorizonRefusal",
     "LemmaFalsified",
-    "IntegrityError",
 ]

@@ -26,7 +26,7 @@ import re
 import sys
 
 from .complement import build_complement, horizon_atoms, resolve_horizon
-from .errors import ConfigurationError, HorizonRefusal, IntegrityError
+from .errors import ConfigurationError, HorizonRefusal, LemmaFalsified
 from .incidence import bits
 from .polar import (
     FormSpec,
@@ -170,7 +170,7 @@ def _run_single(
     if "reconstruct" in tasks:
         try:
             cmap, map_error = run.canonical_map, None
-        except IntegrityError as exc:
+        except LemmaFalsified as exc:
             cmap, map_error = None, str(exc)
         payload = {
             "n_points": recon.structure.n_points,
@@ -189,7 +189,7 @@ def _run_single(
     if "verify" in tasks:
         try:
             ok, cert = run.canonical_isomorphism
-        except IntegrityError as exc:  # no canonical map
+        except LemmaFalsified as exc:  # no canonical map
             ok, cert = False, {"error": str(exc)}
         payload = {"canonical_isomorphism": ok}
         if not ok:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
-from .errors import HorizonRefusal, IntegrityError, LemmaFalsified
+from .errors import HorizonRefusal, LemmaFalsified
 from .incidence import bits, mask_of
 from .polar import PolarSpace, _plane_lines
 
@@ -49,7 +49,6 @@ class Complement:
         self.horizon = horizon
         self.proper_mask = st.full_mask & ~horizon
         self.proper_points = list(bits(self.proper_mask))
-        self.local_index = {b: i for i, b in enumerate(self.proper_points)}
         self._line_ids = list(range(len(st.lines))) if line_ids is None else line_ids
 
         self.line_trace: list[int] = []
@@ -162,10 +161,6 @@ class Complement:
         """Ids of the planes that meet the horizon: every plane."""
         return list(range(len(self.planes())))
 
-    def plane_horizon(self, pi: int) -> int:
-        """The points at infinity of a plane."""
-        return self.planes()[pi] & self.horizon
-
     def plane_counts(self) -> tuple[int, int]:
         """The numbers of base planes not inside the horizon W and of those
         among them meeting W, the second ``len(planes())``, read from the line
@@ -179,7 +174,7 @@ class Complement:
 
         def whole(n: int, d: int) -> int:
             if n % d:
-                raise IntegrityError(f"line perps count {n} plane incidences, not a multiple of {d}")
+                raise LemmaFalsified(f"line perps count {n} plane incidences, not a multiple of {d}")
             return n // d
 
         total = inside = missing = 0

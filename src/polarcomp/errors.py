@@ -19,12 +19,9 @@ class HorizonRefusal(Exception):
 
 
 class LemmaFalsified(Exception):
-    """A search that the verified theory guarantees to succeed came up empty.
+    """A claim that the verified theory guarantees came out false.
 
-    Carriers of this exception are never swallowed: the verification layer
-    converts them into failure reports with the offending input attached.
+    Raised by ``Complement.avoiding_hyperplane``, ``plane_path`` and
+    ``plane_counts``, by ``canonical_map`` and by the battery's chain check;
+    the battery reports it as a failure, never swallowing it.
     """
-
-
-class IntegrityError(Exception):
-    """An internal cross-check failed while assembling derived data."""

@@ -26,7 +26,7 @@ from __future__ import annotations
 from itertools import product
 
 from .complement import Complement
-from .errors import HorizonRefusal, IntegrityError
+from .errors import HorizonRefusal, LemmaFalsified
 from .incidence import IncidenceStructure, bits, is_isomorphism, mask_of
 
 __all__ = [
@@ -188,10 +188,11 @@ def reconstruct(par: Parallelism) -> ReconstructedStructure:
     """
     comp = par.comp
     n_proper = len(comp.proper_points)
+    local = {p: i for i, p in enumerate(comp.proper_points)}
 
     extended: list[tuple[int, ...]] = []
     for k, trace in enumerate(comp.line_trace):
-        pts = [comp.local_index[p] for p in bits(trace)]
+        pts = [local[p] for p in bits(trace)]
         if k in par.class_id:
             pts.append(n_proper + par.class_id[k])
         extended.append(tuple(pts))
@@ -208,7 +209,7 @@ def canonical_map(par: Parallelism) -> dict[int, int]:
     Proper points map to themselves; each class maps to the common point at
     infinity of its members.  The ids are those :func:`reconstruct` gives,
     so the map reads the parallelism alone.  Any ambiguity falsifies the
-    theory and raises :class:`IntegrityError` rather than guessing.
+    theory and raises :class:`LemmaFalsified` rather than guessing.
     """
     comp = par.comp
     n_proper = len(comp.proper_points)
@@ -217,14 +218,14 @@ def canonical_map(par: Parallelism) -> dict[int, int]:
     for c, members in enumerate(par.classes):
         direction = comp.direction_of(members)
         if direction is None:
-            raise IntegrityError(f"class {c} has no single point at infinity")
+            raise LemmaFalsified(f"class {c} has no single point at infinity")
         if direction in seen:
-            raise IntegrityError(f"classes {seen[direction]} and {c} share direction {direction}")
+            raise LemmaFalsified(f"classes {seen[direction]} and {c} share direction {direction}")
         seen[direction] = c
         mapping[n_proper + c] = direction
     uncovered = comp.horizon & ~mask_of(seen)
     if uncovered:
-        raise IntegrityError(f"horizon points {list(bits(uncovered))} have no direction")
+        raise LemmaFalsified(f"horizon points {list(bits(uncovered))} have no direction")
     return mapping
 
 

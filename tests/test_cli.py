@@ -243,6 +243,19 @@ def test_run_reports_divergent_horizon(tmp_path):
     assert ver["independent_search"]["found"] is False
 
 
+def test_run_counts_failed_axioms(tmp_path, monkeypatch, q52):
+    """A failed axiom report is written as it is and counts as one failed
+    check, alone and beside every other task."""
+    check = cli_module.check_polar_axioms
+    monkeypatch.setattr(cli_module, "check_polar_axioms", lambda ps: {**check(ps), "all_ok": False})
+    report = {**check(q52), "all_ok": False}
+    for name, tasks in (("axioms", ["--tasks", "axioms"]), ("all", [])):
+        out = tmp_path / name
+        assert run_cli("run", "--form", "q+:5:2", "--horizon", "point 0",
+                       *tasks, "--out", str(out)) == 11
+        assert read(out / "axioms.json") == report
+
+
 def test_run_usage_errors(tmp_path, capsys):
     assert run_cli("run", "--form", "sp:6:2") == 2  # no horizon
     assert run_cli("run", "--form", "sp:6:2", "--horizon", "point 0",

@@ -10,7 +10,6 @@ from polarcomp import (
     GF,
     Complement,
     HorizonRefusal,
-    IntegrityError,
     LemmaFalsified,
     Parallelism,
     build_complement,
@@ -154,7 +153,7 @@ def test_planes_and_semiaffine(comp_point):
     assert all(plane & comp_point.proper_mask for plane in planes)
     assert comp_point.semiaffine_planes() == list(range(15))
     for pi in range(15):
-        assert comp_point.plane_horizon(pi) == 1 << 0
+        assert comp_point.planes()[pi] & comp_point.horizon == 1 << 0
 
 
 @pytest.mark.parametrize(
@@ -181,7 +180,7 @@ def test_horizon_notions_match_affine_line_oracles(
     assert comp.deep_points().bit_count() == n_deep_points
     assert comp.semiaffine_planes() == affine_semiaffine_planes(comp)
     for pi in range(len(comp.planes())):
-        assert comp.plane_horizon(pi) == affine_plane_horizon(comp, pi) != 0, pi
+        assert comp.planes()[pi] & comp.horizon == affine_plane_horizon(comp, pi) != 0, pi
     assert comp.deep_lines() == unrealized_deep_lines(comp)
     assert len(comp.deep_lines()) == n_deep_lines
 
@@ -299,12 +298,12 @@ def test_plane_counts_refuse_a_perp_that_is_no_union_of_planes(sp62):
     perps[0] &= perps[0] - 1
     comp.base = copy.copy(sp62)
     comp.base.line_perps = perps
-    with pytest.raises(IntegrityError, match="not a multiple"):
+    with pytest.raises(LemmaFalsified, match="not a multiple"):
         comp.plane_counts()
 
 
 def test_plane_horizon_sizes_on_a_line_horizon(comp_line):
-    sizes = {comp_line.plane_horizon(pi).bit_count()
+    sizes = {(comp_line.planes()[pi] & comp_line.horizon).bit_count()
              for pi in comp_line.semiaffine_planes()}
     assert sizes == {1, 3}
     assert len(comp_line.semiaffine_planes()) == 39

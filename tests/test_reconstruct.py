@@ -232,7 +232,6 @@ def test_parallel_is_reflexive_exactly_on_affine(par_line, comp_line):
 # neither.
 NOT_READ_BY_RECOVERY = [
     "semiaffine_planes",
-    "plane_horizon",
     "deep_points",
     "deep_lines",
     "parallel_table",

@@ -294,6 +294,18 @@ def test_forcing_keeps_the_first_mapping_on_mixed_line_sizes(space, request):
         assert m is not None and m == unforced_isomorphism(x, y)
 
 
+def test_find_isomorphism_exhausts_one_color_class():
+    """A hexagon and two triangles: six points on six 2-point lines each,
+    every point on two lines, so refinement leaves all twelve points one
+    color and only the search tells them apart, by trying every candidate."""
+    hexagon = IncidenceStructure(6, [(i, (i + 1) % 6) for i in range(6)])
+    triangles = IncidenceStructure(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    assert _joint_colors(hexagon, triangles) == ([0] * 6, [0] * 6)
+    for a, b in ((hexagon, triangles), (triangles, hexagon)):
+        assert find_isomorphism(a, b) is None
+        assert unforced_isomorphism(a, b) is None
+
+
 def test_full_check_backtracks_from_a_non_isomorphism(monkeypatch):
     # Two lines share the pair {0, 1} (and {2, 3}), so the first full
     # assignment that forcing and adjacency allow is no isomorphism; the
@@ -570,6 +582,220 @@ def test_fibration_witness_matches_oracle(fixture, request):
         }
 
 
+def _battery_rows(run):
+    return [(r.check_id, r.status, r.witness) for r in run_lemma_battery(run)]
+
+
+def _assert_faults(comp, inject, faults):
+    """The battery fails nothing on ``comp``; on a second run, after
+    ``inject(run)`` plants a fault, its 14 rows are the same except that each
+    check named in ``faults`` fails with its witness there."""
+    clean = _battery_rows(Run(comp))
+    assert [check_id for check_id, _, _ in clean] == BATTERY_IDS
+    assert all(status != "fail" for _, status, _ in clean), clean
+    run = Run(comp)
+    inject(run)
+    assert _battery_rows(run) == [
+        (c, "fail", faults[c]) if c in faults else (c, status, witness)
+        for c, status, witness in clean
+    ]
+
+
+def _first_parallel_pair(comp):
+    """The pair the pair checks visit first: the two least lines of the
+    least affine line's fibre."""
+    k = comp.affine_lines()[0]
+    return [k, next(bits(comp.parallel_table()[k] & ~(1 << k)))]
+
+
+@pytest.mark.parametrize(
+    "case, reason",
+    [
+        ("closure in the horizon", "closure meets the horizon in 3 points"),
+        ("flag on", "affine flag disagrees with the closure"),
+        ("flag off", "affine flag disagrees with the closure"),
+    ],
+)
+def test_fibration_ground_witnesses(sp62, monkeypatch, case, reason):
+    """On a line horizon: a closure inside the horizon, or an affine flag
+    set on a line missing the horizon or cleared on an affine one."""
+    comp = build_complement(sp62, resolve_horizon(sp62, "line 0"))
+    if case == "flag off":
+        k = comp.affine_lines()[0]
+    else:
+        k = next(j for j in range(comp.n_lines) if not comp.is_affine(j))
+    is_affine = Complement.is_affine
+
+    def inject(run):
+        if case == "closure in the horizon":
+            # after the clean run, so the planes are already read from the
+            # true closures
+            closure = list(comp.line_closure)
+            closure[k] = comp.horizon_line_ids[0]
+            monkeypatch.setattr(comp, "line_closure", closure)
+        else:
+            monkeypatch.setattr(
+                Complement, "is_affine", lambda self, j: is_affine(self, j) != (j == k)
+            )
+
+    _assert_faults(comp, inject, {"affine_fibration": {"line": k, "reason": reason}})
+
+
+@pytest.mark.parametrize(
+    "spec, fake, reason",
+    [
+        # 0 is the one deep point over its perp, and its radical
+        ("perp 0", lambda comp, p: 1 << 0 | 1 << p, "more than one deep point"),
+        ("perp 0", lambda comp, p: 1 << p, "deep point off the radical"),
+        ("point 0", lambda comp, p: comp.horizon, "deep points on a non-hyperplane"),
+    ],
+    ids=["perp 0-two", "perp 0-off the radical", "point 0"],
+)
+def test_deep_point_witnesses(sp62, monkeypatch, spec, fake, reason):
+    comp = build_complement(sp62, resolve_horizon(sp62, spec))
+    p = next(bits(comp.horizon & ~1), None)  # the least horizon point but 0
+    deep = fake(comp, p)
+    faults = {"deep_points": {"deep_points": list(bits(deep)), "reason": reason}}
+    if spec == "point 0":  # not a hyperplane, so the intrinsic checks run
+        faults["class_point_bijection"] = {"uncovered": [], "unexpected": [0]}
+    _assert_faults(
+        comp, lambda run: monkeypatch.setattr(Complement, "deep_points", lambda self: deep), faults
+    )
+
+
+@pytest.mark.parametrize(
+    "hyperplane, reason",
+    [
+        ("proper", "hyperplane does not contain the horizon"),
+        ("full", "hyperplane contains a closure"),
+        ("horizon", "candidate is not a hyperplane"),
+    ],
+)
+def test_avoiding_hyperplane_witnesses(sp62, monkeypatch, hyperplane, reason):
+    comp = build_complement(sp62, resolve_horizon(sp62, "point 0"))
+    h = {
+        "proper": comp.proper_mask,
+        "full": sp62.structure.full_mask,
+        "horizon": comp.horizon,
+    }[hyperplane]
+    _assert_faults(
+        comp,
+        lambda run: monkeypatch.setattr(Complement, "avoiding_hyperplane", lambda self, k, l: h),
+        {"avoiding_hyperplane": {"lines": _first_parallel_pair(comp), "reason": reason}},
+    )
+
+
+@pytest.mark.parametrize(
+    "case", ["empty", "off the infinity", "first line", "second line", "no shared line"]
+)
+def test_plane_chain_witnesses(sp62, monkeypatch, case):
+    """On a line horizon, where some planes miss a given point at infinity,
+    every chain is replaced by one bad chain for the first parallel pair."""
+    comp = build_complement(sp62, resolve_horizon(sp62, "line 0"))
+    k, l = lines = _first_parallel_pair(comp)
+    a = comp.point_at_infinity(k)
+    planes = comp.planes()
+    through_a = [pi for pi, plane in enumerate(planes) if plane >> a & 1]
+    if case == "empty":
+        chain, witness = [], {"reason": "empty plane chain"}
+    elif case == "off the infinity":
+        pi = next(pi for pi in range(len(planes)) if pi not in through_a)
+        chain, witness = [pi], {"plane": pi, "reason": "plane misses the infinity"}
+    elif case == "first line":
+        pi = next(pi for pi in through_a if k not in comp.plane_lines(pi))
+        chain, witness = [pi], {"reason": "first plane misses the first line"}
+    elif case == "second line":
+        pi = next(pi for pi in comp.line_planes(k) if l not in comp.plane_lines(pi))
+        chain, witness = [pi], {"reason": "last plane misses the second line"}
+    else:
+        chain = next(
+            [pi, pj]
+            for pi in comp.line_planes(k)
+            for pj in comp.line_planes(l)
+            if set(comp.plane_lines(pi)).isdisjoint(comp.plane_lines(pj))
+        )
+        witness = {"planes": chain, "reason": "no shared line"}
+    trees = Complement.plane_paths
+    _assert_faults(
+        comp,
+        lambda run: monkeypatch.setattr(
+            Complement, "plane_paths", lambda self, j: dict.fromkeys(trees(self, j), chain)
+        ),
+        {"plane_chains": {"lines": lines, **witness}},
+    )
+
+
+# Each case: the family replaced, its stand-in from the true families
+# (prime, second), and the witness, from those and the deep line ids.
+NEW_FAMILY_FAULTS = {
+    "first duplicates": (
+        "lines_prime",
+        lambda prime, second: prime + prime[:1],
+        lambda prime, second, deep: {"reason": "duplicate sets in the first new family"},
+    ),
+    "second duplicates": (
+        "lines_second",
+        lambda prime, second: second + second[:1],
+        lambda prime, second, deep: {"reason": "duplicate sets in the second new family"},
+    ),
+    "overlap": (
+        "lines_prime",
+        lambda prime, second: prime + second[:1],
+        lambda prime, second, deep: {"set": list(second[0]), "reason": "families overlap"},
+    ),
+    "not deep": (
+        "lines_prime",
+        lambda prime, second: prime + [(0, 1, 2, 3)],
+        lambda prime, second, deep: {
+            "set": [0, 1, 2, 3], "reason": "directions are not a deep line"
+        },
+    ),
+    "deep twice": (
+        "lines_prime",
+        lambda prime, second: prime + [prime[0][::-1]],
+        lambda prime, second, deep: {
+            "set": list(prime[0][::-1]), "reason": "deep line recovered twice"
+        },
+    ),
+    "first empty": (
+        "lines_prime",
+        lambda prime, second: [],
+        lambda prime, second, deep: {"deep_lines": deep, "reason": "deep lines not recovered"},
+    ),
+    "second empty": (
+        "lines_second",
+        lambda prime, second: [],
+        lambda prime, second, deep: {"missing": [list(g) for g in sorted(second)[:4]], "extra": []},
+    ),
+    "second extra": (
+        "lines_second",
+        lambda prime, second: second + [(0, 1, 2, 3)],
+        lambda prime, second, deep: {"missing": [], "extra": [[0, 1, 2, 3]]},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(NEW_FAMILY_FAULTS))
+def test_new_line_family_witnesses(q53, monkeypatch, case):
+    """On a horizon with one deep line, each family is replaced by a faulty
+    copy; the reconstruction is built first, so only the family check reads
+    the fault."""
+    comp = build_complement(q53, resolve_horizon(q53, "meet perp 0 perp 3"))
+    method, fake, witness = NEW_FAMILY_FAULTS[case]
+    par = Parallelism(comp)
+    prime, second = par.lines_prime(), par.lines_second()
+    assert len(prime) == 1 and (0, 1, 2, 3) not in prime + second
+    stand_in = fake(prime, second)
+
+    def inject(run):
+        run.reconstruction
+        monkeypatch.setattr(Parallelism, method, lambda self: stand_in)
+
+    _assert_faults(
+        comp, inject, {"new_line_families": witness(prime, second, comp.deep_lines())}
+    )
+
+
 @pytest.mark.parametrize("fixture", ["comp_point", "comp_line"])
 def test_partial_linear_witness_matches_local_structure(fixture, request):
     """The check runs on the traces over base point ids; its witness is the
@@ -582,9 +808,10 @@ def test_partial_linear_witness_matches_local_structure(fixture, request):
         bad = copy.copy(comp)
         bad.line_trace = list(comp.line_trace)
         bad.line_trace[k] |= comp.line_trace[other]
+        local_index = {q: i for i, q in enumerate(comp.proper_points)}
         local = IncidenceStructure(
             len(comp.proper_points),
-            [[comp.local_index[q] for q in bits(t)] for t in bad.line_trace],
+            [[local_index[q] for q in bits(t)] for t in bad.line_trace],
         )
         expected = partial_linear_scan(local)
         assert expected is not None
