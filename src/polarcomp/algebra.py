@@ -32,49 +32,28 @@ DEFAULT_MODULI: dict[tuple[int, int], tuple[int, ...]] = {
 }
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for d in range(2, int(n**0.5) + 1):
-        if n % d == 0:
-            return False
-    return True
-
-
 class GF:
-    """A finite field of order ``p ** k`` with ``p ** k <= 16``.
+    """The finite field of order ``q = p ** k <= 16``.
 
     Elements are the ints ``0 .. q-1``.  The digit expansion of an element in
     base ``p`` (least significant digit first) gives the coefficients of its
     polynomial representative.
     """
 
-    def __init__(self, p: int, k: int = 1):
-        if not _is_prime(p):
-            raise ValueError(f"characteristic {p} is not prime")
-        if k < 1:
-            raise ValueError("extension degree must be positive")
-        q = p**k
-        if q > MAX_ORDER:
-            raise ValueError(f"field order {q} exceeds the supported maximum {MAX_ORDER}")
-        self.p = p
-        self.k = k
-        self.q = q
-        self.modulus = (0, 1) if k == 1 else DEFAULT_MODULI[(p, k)]
-        self._build_tables()
-
-    @classmethod
-    def of_order(cls, q: int) -> "GF":
-        """Build the field with ``q`` elements, factoring ``q`` as a prime power."""
+    def __init__(self, q: int):
         if q < 2:
             raise ValueError(f"no field of order {q}")
-        if q > MAX_ORDER:
+        if q > MAX_ORDER:  # before factoring: the order may be huge
             raise ValueError(f"field order {q} exceeds the supported maximum {MAX_ORDER}")
         p = next(d for d in range(2, q + 1) if q % d == 0)  # the least prime factor
         k = next(k for k in range(1, q) if p**k >= q)
         if p**k != q:
             raise ValueError(f"{q} is not a prime power")
-        return cls(p, k)
+        self.p = p
+        self.k = k
+        self.q = q
+        self.modulus = (0, 1) if k == 1 else DEFAULT_MODULI[(p, k)]
+        self._build_tables()
 
     def _build_tables(self) -> None:
         p, q = self.p, self.q

@@ -68,7 +68,7 @@ def parse_form(desc: str) -> FormSpec:
     except ValueError:
         raise ConfigurationError(f"non-integer fields in form descriptor {desc!r}") from None
     try:
-        field = GF.of_order(q)
+        field = GF(q)
     except ValueError as exc:
         raise ConfigurationError(str(exc)) from None
     return _FORM_BUILDERS[kind](dim, field)
@@ -112,7 +112,10 @@ def cmd_build(args) -> int:
 def _complement_payload(run: Run) -> dict:
     comp = run.complement
     st = comp.base.structure
-    n_planes, n_semiaffine = comp.plane_counts()
+    try:
+        (n_planes, n_semiaffine), error = comp.plane_counts(), {}
+    except LemmaFalsified as exc:  # one failed check, counted by the caller
+        (n_planes, n_semiaffine), error = (None, None), {"plane_count_error": str(exc)}
     return {
         "horizon_points": list(bits(comp.horizon)),
         "n_proper_points": len(comp.proper_points),
@@ -123,6 +126,7 @@ def _complement_payload(run: Run) -> dict:
         "n_planes": n_planes,
         "n_semiaffine_planes": n_semiaffine,
         "horizon_is_hyperplane": comp.horizon_is_hyperplane,
+        **error,
     }
 
 
@@ -149,7 +153,9 @@ def _run_single(
     run = Run(build_complement(ps, horizon))
 
     if "complement" in tasks:
-        _emit(_complement_payload(run), os.path.join(outdir, "complement.json"))
+        payload = _complement_payload(run)
+        failed += "plane_count_error" in payload
+        _emit(payload, os.path.join(outdir, "complement.json"))
 
     if "lemmas" in tasks:
         checks = run_lemma_battery(run)

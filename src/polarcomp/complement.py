@@ -195,12 +195,11 @@ class Complement:
 
     # -- the two guaranteed searches -----------------------------------------
 
-    def _require_parallel_pair(self, k: int, l: int) -> int:
+    def _require_parallel_pair(self, k: int, l: int) -> None:
         if k == l:
             raise ValueError("need two distinct lines")
         if not self.horizon_parallel(k, l):
             raise ValueError("lines are not parallel")
-        return self._infinity[k]  # type: ignore[return-value]
 
     def avoiding_hyperplane(self, k: int, l: int) -> int:
         """A candidate hyperplane over the horizon avoiding both closures."""

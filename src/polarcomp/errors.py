@@ -23,5 +23,6 @@ class LemmaFalsified(Exception):
 
     Raised by ``Complement.avoiding_hyperplane``, ``plane_path`` and
     ``plane_counts``, by ``canonical_map`` and by the battery's chain check;
-    the battery reports it as a failure, never swallowing it.
+    the battery, the ``complement`` task and the ``reconstruct`` task report
+    it as a failure, never swallowing it.
     """

@@ -153,15 +153,16 @@ def parabolic_form(pdim: int, field: GF) -> FormSpec:
 
 
 def _anisotropic_coeff(f: GF) -> int:
-    """A coefficient d making x^2 + xy + d*y^2 anisotropic over the field."""
-    for d in range(1, f.q):
-        values = (
+    """A coefficient d making x^2 + xy + d*y^2 anisotropic over the field.
+    One exists over every finite field: for odd q some 1 - 4d is a non-square,
+    and in characteristic 2 any d of absolute trace 1 will do."""
+    return next(
+        d for d in range(1, f.q)
+        if all(
             f.add(f.add(f.mul(x, x), f.mul(x, y)), f.mul(d, f.mul(y, y)))
             for x in range(f.q) for y in range(f.q) if x or y
         )
-        if all(values):
-            return d
-    raise ConfigurationError(f"no anisotropic binary quadratic form over GF({f.q})")
+    )
 
 
 def elliptic_form(pdim: int, field: GF) -> FormSpec:
@@ -299,27 +300,7 @@ def _plane_lines(ps: "PolarSpace", starts: Iterable[int]) -> dict[int, tuple[int
 class PolarSpace:
     """A classical polar space with its coordinate model attached."""
 
-    def __init__(
-        self,
-        form: FormSpec,
-        points: list[tuple[int, ...]],
-        structure: IncidenceStructure,
-        rank: int,
-        line_perps: list[int],
-        sections: _SectionTable,
-    ):
-        self.form = form
-        self.points = points
-        self.structure = structure
-        self.rank = rank
-        self.line_perps = line_perps  # L^⊥ of each line, in line order
-        self.sections = sections
-        self.ambient_dim = form.dim - 1
-        self._planes: list[int] | None = None
-        self._line_of_perp: dict[int, int] | None = None
-
-    @classmethod
-    def from_form(cls, form: FormSpec) -> "PolarSpace":
+    def __init__(self, form: FormSpec):
         field = form.field
         if (field.q**form.dim - 1) // (field.q - 1) > MAX_PG_POINTS:
             raise ConfigurationError(f"PG({form.dim - 1},{field.q}) exceeds {MAX_PG_POINTS} points")
@@ -356,7 +337,15 @@ class PolarSpace:
                 raise ConfigurationError(
                     f"degenerate space: point {p} is collinear with every point"
                 )
-        return cls(form, pts, st, compute_rank(st), line_perps, sections)
+        self.form = form
+        self.points = pts
+        self.structure = st
+        self.rank = compute_rank(st)
+        self.line_perps = line_perps  # L^⊥ of each line, in line order
+        self.sections = sections
+        self.ambient_dim = form.dim - 1
+        self._planes: list[int] | None = None
+        self._line_of_perp: dict[int, int] | None = None
 
     def line_through(self, a: int, b: int) -> int | None:
         """Id of the line through two distinct points, or None.  ``adj[a] &
@@ -394,7 +383,7 @@ class PolarSpace:
 
 def build_polar(form: FormSpec) -> PolarSpace:
     """Construct the polar space of a form, requiring rank at least 3."""
-    ps = PolarSpace.from_form(form)
+    ps = PolarSpace(form)
     if ps.rank < 3:
         raise ConfigurationError(f"polar space has rank {ps.rank} < 3")
     return ps

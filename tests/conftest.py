@@ -32,7 +32,7 @@ def gf3():
 
 @pytest.fixture(scope="session")
 def gf4():
-    return GF(2, 2)
+    return GF(4)
 
 
 @pytest.fixture(scope="session")

@@ -19,7 +19,7 @@ import polarcomp.reconstruct as reconstruct_module
 import polarcomp.verify as verify_module
 from polarcomp.cli import main
 from polarcomp.complement import Complement, build_complement, resolve_horizon
-from polarcomp.errors import HorizonRefusal
+from polarcomp.errors import HorizonRefusal, LemmaFalsified
 from polarcomp.incidence import IncidenceStructure
 from polarcomp.reconstruct import Parallelism, Run, canonical_map
 
@@ -96,7 +96,7 @@ def test_build_rejects_low_rank(capsys):
     "desc",
     [
         "zz:5:2", "sp:6", "sp:a:2", "sp:6:6", "q+:4:2", "herm:3:3", "sp:6:32",
-        "q-:-1:2", "q:-2:2", "q-:-3:3",
+        "q-:-1:2", "q:-2:2", "q-:-3:3", "q-:1:2",
     ],
 )
 def test_build_rejects_bad_descriptors(desc, capsys):
@@ -148,10 +148,10 @@ def test_oversized_space_is_refused_before_enumerating_points(desc, monkeypatch,
 def test_huge_field_order_is_refused_before_factoring(monkeypatch, capsys):
     """Factoring 1000000007 tested every smaller integer for primality."""
 
-    def testing(n):
+    def raising(*args):
         raise AssertionError("field order factored")
 
-    monkeypatch.setattr(algebra_module, "_is_prime", testing)
+    monkeypatch.setattr(algebra_module, "range", raising, raising=False)
     start = time.perf_counter()
     assert run_cli("build", "--form", "sp:6:1000000007") == 2
     assert time.perf_counter() - start < 1
@@ -254,6 +254,27 @@ def test_run_counts_failed_axioms(tmp_path, monkeypatch, q52):
         assert run_cli("run", "--form", "q+:5:2", "--horizon", "point 0",
                        *tasks, "--out", str(out)) == 11
         assert read(out / "axioms.json") == report
+
+
+def test_run_counts_a_falsified_plane_count(tmp_path, monkeypatch):
+    """A falsified plane count is written into complement.json and counts as
+    one failed check; the later tasks still run."""
+    text = "line perps count 5 plane incidences, not a multiple of 4"
+
+    def falsified(self):
+        raise LemmaFalsified(text)
+
+    monkeypatch.setattr(Complement, "plane_counts", falsified)
+    out = tmp_path / "run"
+    assert run_cli("run", "--form", "sp:6:2", "--horizon", "point 0", "--out", str(out)) == 11
+    assert sorted(p.name for p in out.iterdir()) == [
+        "axioms.json", "complement.json", "lemma_battery.json",
+        "reconstruction.json", "verification.json",
+    ]
+    comp = read(out / "complement.json")
+    assert (comp["n_planes"], comp["n_semiaffine_planes"]) == (None, None)
+    assert comp["plane_count_error"] == text
+    assert read(out / "lemma_battery.json")["failed"] == 0
 
 
 def test_run_usage_errors(tmp_path, capsys):

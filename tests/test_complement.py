@@ -589,6 +589,7 @@ def test_resolver_nesting_is_not_bounded_by_recursion(sp62):
         "plane 9999",
         "meet perp 0",
         "span",
+        "span ,",
         "span a,b",
         "span 0,99",
         "orbit 3",

@@ -30,7 +30,7 @@ from polarcomp import polar as polar_module
 from polarcomp.cli import parse_form
 from polarcomp.complement import resolve_horizon
 from polarcomp.incidence import bits
-from polarcomp.polar import _one_or_all_witness, _partial_linear_witness
+from polarcomp.polar import _anisotropic_coeff, _one_or_all_witness, _partial_linear_witness
 from oracles import (
     axioms_scan,
     bilin,
@@ -54,7 +54,7 @@ ORACLE_SPACES = ["sp:6:2", "q+:5:2", "q:6:2", "q+:5:3", "q-:7:2", "herm:3:4"]
 @functools.cache
 def _space(desc):
     """One build per descriptor for the whole session; rank 2 allowed."""
-    return PolarSpace.from_form(parse_form(desc))
+    return PolarSpace(parse_form(desc))
 
 
 def test_sp62_counts(sp62):
@@ -183,7 +183,7 @@ def test_singular_planes_build_each_plane_once(monkeypatch):
     """Each of the 80 planes of q+:5:3 is built once with its 13 lines: at
     most 17 ``line_through`` calls per plane (4160 when a plane was rebuilt
     from each of its lines)."""
-    ps = PolarSpace.from_form(parse_form("q+:5:3"))
+    ps = PolarSpace(parse_form("q+:5:3"))
     calls = 0
     line_through = PolarSpace.line_through
 
@@ -401,7 +401,7 @@ def test_from_form_builds_each_line_once(gf3, monkeypatch):
 def test_hermitian_gq(gf4):
     """The order-(4,2) generalized quadrangle on the 3-dimensional hermitian
     variety: 45 points, 27 lines, rank 2."""
-    ps = PolarSpace.from_form(hermitian_form(3, gf4))
+    ps = PolarSpace(hermitian_form(3, gf4))
     assert ps.structure.n_points == 45
     assert len(ps.structure.lines) == 27
     assert ps.rank == 2
@@ -497,9 +497,21 @@ def _written_quad(kind, dim, d):
     return quad
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16])
+def test_anisotropic_coeff_over_every_supported_order(q):
+    """x^2 + xy + d*y^2 vanishes only at (0, 0), for every order GF accepts."""
+    f = GF(q)
+    d = _anisotropic_coeff(f)
+    assert 0 < d < q
+    assert all(
+        f.add(f.add(f.mul(x, x), f.mul(x, y)), f.mul(d, f.mul(y, y)))
+        for x in range(q) for y in range(q) if x or y
+    )
+
+
 @pytest.mark.parametrize("kind, n, p, k", _form_cases())
 def test_forms_match_their_definitions(kind, n, p, k):
-    f = GF(p, k)
+    f = GF(p**k)
     form = CONSTRUCTORS[kind](n, f)
     dim = n if kind == "symplectic" else n + 1
     assert (form.kind, form.dim) == (kind, dim)
@@ -572,8 +584,8 @@ def test_hyperplane_candidates(sp62, q52, q62, gf2, gf4):
         assert st.is_hyperplane(h)
     # every perp is an ambient section, hermitian and rank-2 spaces included
     rank2 = [
-        PolarSpace.from_form(hermitian_form(3, gf4)),
-        PolarSpace.from_form(elliptic_form(5, gf2)),
+        PolarSpace(hermitian_form(3, gf4)),
+        PolarSpace(elliptic_form(5, gf2)),
     ]
     for ps in (sp62, q52, q62, *rank2):
         cands = set(ps.hyperplane_candidates())
@@ -634,11 +646,11 @@ def test_degenerate_form_is_rejected(gf2):
     g[2][3], g[3][2] = 1, 1
     form = FormSpec("symplectic", gf2, 6, tuple(tuple(r) for r in g))
     with pytest.raises(ConfigurationError, match="points 0 and 3 span no line of 3 points"):
-        PolarSpace.from_form(form)
+        PolarSpace(form)
     # the zero form on a projective line: one line, every point on it
     zero = FormSpec("symplectic", gf2, 2, ((0, 0), (0, 0)))
     with pytest.raises(ConfigurationError, match="point 0 is collinear with every point"):
-        PolarSpace.from_form(zero)
+        PolarSpace(zero)
 
 
 def test_repr(sp62):
