@@ -12,6 +12,8 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterable, Sequence
 
+from .errors import ConfigurationError
+
 __all__ = [
     "GF",
     "DEFAULT_MODULI",
@@ -42,13 +44,13 @@ class GF:
 
     def __init__(self, q: int):
         if q < 2:
-            raise ValueError(f"no field of order {q}")
+            raise ConfigurationError(f"no field of order {q}")
         if q > MAX_ORDER:  # before factoring: the order may be huge
-            raise ValueError(f"field order {q} exceeds the supported maximum {MAX_ORDER}")
+            raise ConfigurationError(f"field order {q} exceeds the supported maximum {MAX_ORDER}")
         p = next(d for d in range(2, q + 1) if q % d == 0)  # the least prime factor
         k = next(k for k in range(1, q) if p**k >= q)
         if p**k != q:
-            raise ValueError(f"{q} is not a prime power")
+            raise ConfigurationError(f"{q} is not a prime power")
         self.p = p
         self.k = k
         self.q = q

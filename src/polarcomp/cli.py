@@ -67,11 +67,7 @@ def parse_form(desc: str) -> FormSpec:
         q = int(q_s)
     except ValueError:
         raise ConfigurationError(f"non-integer fields in form descriptor {desc!r}") from None
-    try:
-        field = GF(q)
-    except ValueError as exc:
-        raise ConfigurationError(str(exc)) from None
-    return _FORM_BUILDERS[kind](dim, field)
+    return _FORM_BUILDERS[kind](dim, GF(q))
 
 
 def canonical_json(obj) -> str:
@@ -261,13 +257,9 @@ def cmd_run(args) -> int:
         if args.suite and horizon_spec == "span-noncollinear":
             # A built space is nondegenerate: some point is not collinear with 0.
             horizon_spec = f"span 0,{next(bits(ps.structure.full_mask & ~ps.structure.adj[0]))}"
-        try:
-            horizon = resolve_horizon(ps, horizon_spec)
-        except ValueError as exc:
-            raise ConfigurationError(str(exc)) from None
         failed += _run_single(
             ps,
-            horizon,
+            resolve_horizon(ps, horizon_spec),
             tasks,
             os.path.join(out, _sanitize(desc), _sanitize(horizon_spec)) if args.suite else out,
             timings=args.timings,
@@ -364,6 +356,3 @@ def main(argv=None) -> int:
         print(f"internal error: {exc}", file=sys.stderr)
         return 1
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
-from .errors import HorizonRefusal, LemmaFalsified
+from .errors import ConfigurationError, HorizonRefusal, LemmaFalsified
 from .incidence import bits, mask_of
 from .polar import PolarSpace, _plane_lines
 
@@ -270,34 +270,38 @@ def horizon_atoms(ps: PolarSpace, kind: str) -> list[int]:
 
 def _parse_atom(ps: PolarSpace, tokens: list[str], pos: int) -> tuple[int, int]:
     if pos >= len(tokens):
-        raise ValueError("horizon spec ended early")
+        raise ConfigurationError("horizon spec ended early")
     st = ps.structure
     head = tokens[pos]
     if head in ("point", "line", "plane", "perp"):
         if pos + 1 >= len(tokens):
-            raise ValueError(f"{head} needs an id")
+            raise ConfigurationError(f"{head} needs an id")
         try:
             idx = int(tokens[pos + 1])
         except ValueError:
-            raise ValueError(f"{head} id must be an integer, got {tokens[pos + 1]!r}") from None
+            raise ConfigurationError(
+                f"{head} id must be an integer, got {tokens[pos + 1]!r}"
+            ) from None
         atoms = horizon_atoms(ps, head)
         if not 0 <= idx < len(atoms):
-            raise ValueError(f"{head} id {idx} out of range")
+            raise ConfigurationError(f"{head} id {idx} out of range")
         return atoms[idx], pos + 2
     if head == "span":
         if pos + 1 >= len(tokens):
-            raise ValueError("span needs a point list")
+            raise ConfigurationError("span needs a point list")
         try:
             ids = [int(t) for t in tokens[pos + 1].split(",") if t]
         except ValueError:
-            raise ValueError(f"span wants comma-separated ints, got {tokens[pos + 1]!r}") from None
+            raise ConfigurationError(
+                f"span wants comma-separated ints, got {tokens[pos + 1]!r}"
+            ) from None
         if not ids:
-            raise ValueError("span needs at least one point id")
+            raise ConfigurationError("span needs at least one point id")
         for idx in ids:
             if not 0 <= idx < st.n_points:
-                raise ValueError(f"point id {idx} out of range")
+                raise ConfigurationError(f"point id {idx} out of range")
         return st.closure_of(mask_of(ids)), pos + 2
-    raise ValueError(f"unknown horizon spec token {head!r}")
+    raise ConfigurationError(f"unknown horizon spec token {head!r}")
 
 
 def resolve_horizon(ps: PolarSpace, text: str) -> int:
@@ -319,5 +323,5 @@ def resolve_horizon(ps: PolarSpace, text: str) -> int:
             atom, pos = _parse_atom(ps, tokens, pos)
             mask, owed = mask & atom, owed - 1
     if pos != len(tokens):
-        raise ValueError(f"trailing tokens in horizon spec: {' '.join(tokens[pos:])}")
+        raise ConfigurationError(f"trailing tokens in horizon spec: {' '.join(tokens[pos:])}")
     return mask

@@ -1,11 +1,12 @@
 """Exception types shared across the package."""
 
 
-class ConfigurationError(Exception):
-    """A form or space cannot be built as requested.
+class ConfigurationError(ValueError):
+    """A form, field, space or horizon cannot be built as requested.
 
-    Raised for malformed descriptors, reducible moduli, degenerate forms and
-    spaces whose rank is below the supported minimum.
+    Raised for malformed descriptors and horizon specs, unsupported field
+    orders, reducible moduli, degenerate forms and spaces whose rank is below
+    the supported minimum.  A ``ValueError``, so callers catching that still do.
     """
 
 

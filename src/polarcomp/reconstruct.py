@@ -31,7 +31,6 @@ from .incidence import IncidenceStructure, bits, is_isomorphism, mask_of
 
 __all__ = [
     "Parallelism",
-    "ReconstructedStructure",
     "reconstruct",
     "canonical_map",
     "Run",

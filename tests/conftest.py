@@ -7,10 +7,9 @@ immutable once constructed.
 
 import pytest
 
-from polarcomp import (
-    GF,
-    Parallelism,
-    build_complement,
+from polarcomp.algebra import GF
+from polarcomp.complement import build_complement
+from polarcomp.polar import (
     build_polar,
     elliptic_form,
     hermitian_form,
@@ -18,6 +17,7 @@ from polarcomp import (
     parabolic_form,
     symplectic_form,
 )
+from polarcomp.reconstruct import Parallelism
 
 
 @pytest.fixture(scope="session")

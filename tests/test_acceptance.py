@@ -10,18 +10,12 @@ import time
 
 import pytest
 
-from polarcomp import (
-    Parallelism,
-    Run,
-    build_complement,
-    check_polar_axioms,
-    find_isomorphism,
-    is_isomorphism,
-    run_lemma_battery,
-)
 from polarcomp.cli import main as cli_main
-from polarcomp.incidence import bits, mask_of
-from polarcomp.reconstruct import reconstruct
+from polarcomp.complement import build_complement
+from polarcomp.incidence import bits, is_isomorphism, mask_of
+from polarcomp.polar import check_polar_axioms
+from polarcomp.reconstruct import Parallelism, Run, reconstruct
+from polarcomp.verify import find_isomorphism, run_lemma_battery
 
 from oracles import drop_proper_line, is_spiky, lines_in
 

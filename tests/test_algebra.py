@@ -7,8 +7,8 @@ down the choice of modulus on top.
 
 import pytest
 
-from polarcomp import GF, pg_points
-from polarcomp.algebra import DEFAULT_MODULI, normalize_point, pg_line
+from polarcomp.algebra import DEFAULT_MODULI, GF, normalize_point, pg_line, pg_points
+from polarcomp.errors import ConfigurationError
 from oracles import field_digits, field_mul, field_pack, is_irreducible
 
 ORDERS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16]
@@ -148,14 +148,14 @@ def test_coeffs_roundtrip():
 
 def test_of_order_rejects_non_prime_powers():
     for q in (1, 6, 12, 0):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             GF(q)
 
 
 def test_order_cap():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError):
         GF(32)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError):
         GF(17)
 
 

@@ -6,19 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from polarcomp import (
-    GF,
-    Complement,
-    HorizonRefusal,
-    LemmaFalsified,
-    Parallelism,
-    build_complement,
-    build_polar,
-    hyperbolic_form,
-    resolve_horizon,
-)
-from polarcomp.complement import horizon_atoms
+from polarcomp.algebra import GF
+from polarcomp.complement import Complement, build_complement, horizon_atoms, resolve_horizon
+from polarcomp.errors import ConfigurationError, HorizonRefusal, LemmaFalsified
 from polarcomp.incidence import bits, mask_of
+from polarcomp.polar import build_polar, hyperbolic_form
+from polarcomp.reconstruct import Parallelism
 from oracles import (
     affine_plane_horizon,
     affine_semiaffine_planes,
@@ -241,6 +234,12 @@ def test_plane_counts_match_enumeration_on_every_atom(space, request):
     assert seen > 200
 
 
+def test_horizon_atoms_takes_only_the_four_kinds(sp62):
+    with pytest.raises(ValueError, match="^unknown horizon atom kind 'points'$") as raised:
+        horizon_atoms(sp62, "points")
+    assert raised.type is ValueError  # no spec the CLI reads gets here
+
+
 LARGE_COUNT_CASES = [
     ("herm54", "line 0"),
     ("sp82", "point 0"),
@@ -364,7 +363,7 @@ def test_delegated_exactly_over_hyperplanes(space, horizon, request):
     assert delegated == horizon.startswith(("perp", "section"))
 
 
-def test_plane_path(comp_point):
+def test_plane_path(comp_point, monkeypatch):
     aff = comp_point.affine_lines()
     a = comp_point.point_at_infinity(aff[0])
     lengths = set()
@@ -379,6 +378,11 @@ def test_plane_path(comp_point):
             assert set(comp_point.plane_lines(pi)) & set(comp_point.plane_lines(pj))
     assert 1 in lengths  # coplanar pairs exist
     assert any(n >= 2 for n in lengths)  # and noncoplanar ones need a chain
+    # with no tree reaching it, the chain search raises
+    monkeypatch.setattr(Complement, "plane_paths", lambda self, k: {})
+    error = f"no plane chain joins lines {aff[0]} and {aff[1]} through their point at infinity"
+    with pytest.raises(LemmaFalsified, match=f"^{error}$"):
+        comp_point.plane_path(aff[0], aff[1])
 
 
 PAIR_CASES = [
@@ -574,7 +578,7 @@ def test_resolver_nesting_is_not_bounded_by_recursion(sp62):
     st = sp62.structure
     deep = "meet perp 0 " * 5000
     assert resolve_horizon(sp62, deep + "perp 1") == st.adj[0] & st.adj[1]
-    with pytest.raises(ValueError, match="ended early"):
+    with pytest.raises(ConfigurationError, match="ended early"):
         resolve_horizon(sp62, deep)
 
 
@@ -597,7 +601,7 @@ def test_resolver_nesting_is_not_bounded_by_recursion(sp62):
     ],
 )
 def test_resolver_rejects_malformed_specs(sp62, spec):
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError):
         resolve_horizon(sp62, spec)
 
 
@@ -610,7 +614,7 @@ def test_resolver_rejects_malformed_specs(sp62, spec):
     ],
 )
 def test_resolver_out_of_range_messages(sp62, spec, message):
-    with pytest.raises(ValueError, match=f"^{message}$"):
+    with pytest.raises(ConfigurationError, match=f"^{message}$"):
         resolve_horizon(sp62, spec)
 
 
@@ -628,7 +632,7 @@ def test_resolver_raises_only_value_error(sp62, text):
     st = sp62.structure
     try:
         mask = resolve_horizon(sp62, text)
-    except ValueError:
+    except ConfigurationError:
         return
     assert not mask & ~st.full_mask
     assert st.is_subspace(mask)

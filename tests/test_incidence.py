@@ -2,7 +2,7 @@
 
 import pytest
 
-from polarcomp import IncidenceStructure, bits, mask_of
+from polarcomp.incidence import IncidenceStructure, bits, mask_of
 from oracles import is_spiky, lines_in
 
 # The 7-point projective plane; every point pair lies on exactly one line.
@@ -113,6 +113,8 @@ def test_equality_ignores_line_order():
     c = IncidenceStructure(5, [(0, 1), (2, 3)])
     assert a == b
     assert a != c
+    assert a.__eq__(a.lines) is NotImplemented
+    assert a != a.lines
 
 
 def test_repr_is_compact(fano):

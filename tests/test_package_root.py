@@ -1,18 +1,27 @@
-"""The package root exports only what the CLI and the tests read.
+"""Each name has one home, and the modules export only what the CLI and the tests read.
 
-Every name in ``polarcomp.__all__`` must appear in ``polarcomp/cli.py`` or in
-a test module, as a name, an attribute or an import alias; a record class or
-helper that nothing outside its own module reads belongs in that module.
+The package root binds nothing but its submodules: every name is imported
+from the module that defines it.  Every name in a module's ``__all__`` must
+appear in ``polarcomp/cli.py`` or in a test module, as a name, an attribute
+or an import alias; a record class or helper that nothing outside its own
+module reads belongs in that module alone.
 The names that only the benchmark and the tests still read are named by no
 other package module, so that they can leave ``src`` with nothing to rewire.
 """
 
 import ast
+import importlib
+import sys
 from pathlib import Path
 
 import polarcomp
 
 ROOT = Path(__file__).resolve().parents[1]
+MODULES = [
+    importlib.import_module(f"polarcomp.{p.stem}")
+    for p in sorted((ROOT / "src" / "polarcomp").glob("*.py"))
+    if not p.stem.startswith("__")
+]
 READERS = [ROOT / "src" / "polarcomp" / "cli.py"] + [
     p for p in sorted((ROOT / "tests").glob("*.py")) if p.name != Path(__file__).name
 ]
@@ -32,7 +41,18 @@ def _names_read(path):
 
 def test_every_export_is_read_by_the_cli_or_a_test():
     read = set().union(*map(_names_read, READERS))
-    assert sorted(set(polarcomp.__all__) - read) == []
+    exported = {(m.__name__, name) for m in MODULES for name in getattr(m, "__all__", ())}
+    unread = sorted((module, name) for module, name in exported if name not in read)
+    assert unread == []
+
+
+def test_the_package_root_binds_no_module_name():
+    bound = sorted(
+        name
+        for name, value in vars(polarcomp).items()
+        if not name.startswith("_") and value is not sys.modules.get(f"polarcomp.{name}")
+    )
+    assert bound == []
 
 
 # Read only by ``bench/`` and the tests; each goes once the benchmark stops

@@ -11,12 +11,18 @@ import random
 
 import pytest
 
-from polarcomp import (
-    GF,
-    ConfigurationError,
+import polarcomp.polar as polar_module
+from polarcomp.algebra import GF
+from polarcomp.cli import parse_form
+from polarcomp.complement import resolve_horizon
+from polarcomp.errors import ConfigurationError
+from polarcomp.incidence import IncidenceStructure, bits
+from polarcomp.polar import (
     FormSpec,
-    IncidenceStructure,
     PolarSpace,
+    _anisotropic_coeff,
+    _one_or_all_witness,
+    _partial_linear_witness,
     build_polar,
     check_polar_axioms,
     compute_rank,
@@ -26,11 +32,6 @@ from polarcomp import (
     parabolic_form,
     symplectic_form,
 )
-from polarcomp import polar as polar_module
-from polarcomp.cli import parse_form
-from polarcomp.complement import resolve_horizon
-from polarcomp.incidence import bits
-from polarcomp.polar import _anisotropic_coeff, _one_or_all_witness, _partial_linear_witness
 from oracles import (
     axioms_scan,
     bilin,

@@ -17,20 +17,11 @@ import pytest
 from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as hst
 
-from polarcomp import (
-    Complement,
-    HorizonRefusal,
-    Parallelism,
-    Run,
-    build_complement,
-    build_polar,
-    canonical_map,
-    hermitian_form,
-    is_isomorphism,
-    resolve_horizon,
-)
-from polarcomp.incidence import bits
-from polarcomp.reconstruct import reconstruct
+from polarcomp.complement import Complement, build_complement, resolve_horizon
+from polarcomp.errors import HorizonRefusal
+from polarcomp.incidence import bits, is_isomorphism
+from polarcomp.polar import build_polar, hermitian_form
+from polarcomp.reconstruct import Parallelism, Run, canonical_map, reconstruct
 
 from oracles import (
     class_equiv,

@@ -14,23 +14,18 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as hst
 
 import polarcomp.verify as verify_module
-from polarcomp import (
-    Complement,
-    build_complement,
-    HorizonRefusal,
-    IncidenceStructure,
-    LemmaFalsified,
+from polarcomp.complement import Complement, build_complement, resolve_horizon
+from polarcomp.errors import HorizonRefusal, LemmaFalsified
+from polarcomp.incidence import IncidenceStructure, bits, is_isomorphism
+from polarcomp.polar import PolarSpace
+from polarcomp.reconstruct import Parallelism, Run, reconstruct
+from polarcomp.verify import (
+    CheckResult,
+    _horizon_collinear,
+    _joint_colors,
     find_isomorphism,
-    is_isomorphism,
-    Parallelism,
-    PolarSpace,
-    Run,
-    resolve_horizon,
     run_lemma_battery,
 )
-from polarcomp.incidence import bits
-from polarcomp.reconstruct import reconstruct
-from polarcomp.verify import CheckResult, _horizon_collinear, _joint_colors
 from oracles import (
     class_equiv,
     drop_proper_line,
@@ -419,8 +414,6 @@ def test_battery_detects_a_dropped_line(comp_point):
 
 
 def test_battery_flags_perp_meet_divergence(sp62):
-    from polarcomp import build_complement
-
     comp = build_complement(sp62, sp62.structure.adj[0] & sp62.structure.adj[3])
     results = run_lemma_battery(Run(comp))
     failed = [r.check_id for r in results if r.status == "fail"]
@@ -527,6 +520,20 @@ def test_avoiding_hyperplane_checks_every_parallel_pair(comp_q53_lperp, monkeypa
     assert (result.status, result.witness) == (
         "fail", {"error": "no hyperplane for lines 454 and 471"}
     )
+
+
+def test_avoiding_hyperplane_search_failure_is_reported(comp_point):
+    """With no candidate avoiding the closures, the search itself raises, and
+    the battery reports its message on that check alone."""
+    comp = copy.copy(comp_point)
+    error = "no candidate hyperplane over the horizon avoids the closures of lines 0 and 1"
+
+    def inject(run):
+        comp.over_horizon = [comp.base.structure.full_mask]
+        with pytest.raises(LemmaFalsified, match=f"^{error}$"):
+            comp.avoiding_hyperplane(0, 1)
+
+    _assert_faults(comp, inject, {"avoiding_hyperplane": {"error": error}})
 
 
 def test_plane_chains_join_each_line_to_its_fibre_head(comp_q53_lperp, monkeypatch):
