@@ -39,7 +39,9 @@ class GF:
 
     Elements are the ints ``0 .. q-1``.  The digit expansion of an element in
     base ``p`` (least significant digit first) gives the coefficients of its
-    polynomial representative.
+    polynomial representative.  The arithmetic is read off the tables
+    ``add[a][b]``, ``mul[a][b]`` and ``neg[a]``; ``conj[a]`` is the involution
+    ``a -> a ** sqrt(q)`` for even degree, and ``conj`` is None otherwise.
     """
 
     def __init__(self, q: int):
@@ -64,45 +66,23 @@ class GF:
         def pack(poly: Sequence[int]) -> int:
             return sum((c % p) * p**i for i, c in enumerate(poly))
 
-        self._add = [[pack([x + y for x, y in zip(u, v)]) for v in digits] for u in digits]
-        self._neg = [pack([-x for x in u]) for u in digits]
+        self.add = [[pack([x + y for x, y in zip(u, v)]) for v in digits] for u in digits]
+        self.neg = [pack([-x for x in u]) for u in digits]
         # x * u: shift the digits up, fold the top one back through the monic modulus
         times_x = [
             pack([lo - u[-1] * m for lo, m in zip((0, *u[:-1]), self.modulus)]) for u in digits
         ]
         # a * b by Horner over the digits of b: a * (b % p) + x * (a * (b // p))
-        add = self._add
-        self._mul = [[0] * q for _ in range(q)]
-        for a, row in enumerate(self._mul):
+        add = self.add
+        self.mul = [[0] * q for _ in range(q)]
+        for a, row in enumerate(self.mul):
             for b in range(1, q):
                 row[b] = add[row[b - 1]][a] if b < p else add[row[b % p]][times_x[row[b // p]]]
-        self._conj = None
+        self.conj: list[int] | None = None
         if self.k % 2 == 0:
-            self._conj = list(range(q))
+            self.conj = list(range(q))
             for _ in range(p ** (self.k // 2) - 1):
-                self._conj = [self._mul[c][a] for a, c in enumerate(self._conj)]
-
-    # -- int-level arithmetic ------------------------------------------------
-
-    def add(self, a: int, b: int) -> int:
-        return self._add[a][b]
-
-    def neg(self, a: int) -> int:
-        return self._neg[a]
-
-    def mul(self, a: int, b: int) -> int:
-        return self._mul[a][b]
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("0 has no inverse")
-        return self._mul[a].index(1)
-
-    def conj(self, a: int) -> int:
-        """The involutory automorphism x -> x**sqrt(q); needs even degree."""
-        if self._conj is None:
-            raise ValueError(f"GF({self.q}) has no quadratic subfield")
-        return self._conj[a]
+                self.conj = [self.mul[c][a] for a, c in enumerate(self.conj)]
 
     def coeffs(self, a: int) -> tuple[int, ...]:
         """Base-p digits of ``a``, least significant first, padded to length k."""
@@ -123,8 +103,8 @@ def normalize_point(field: GF, vec: Iterable[int]) -> tuple[int, ...]:
         if c != 0:
             if c == 1:
                 return v
-            s = field.inv(c)
-            return tuple(field.mul(s, x) for x in v)
+            row = field.mul[field.mul[c].index(1)]
+            return tuple(row[x] for x in v)
     raise ValueError("the zero vector is not a projective point")
 
 
@@ -148,5 +128,5 @@ def pg_line(field: GF, a: tuple[int, ...], b: tuple[int, ...]) -> frozenset[tupl
         raise ValueError("a line needs two distinct points")
     pts = {a}
     for t in range(field.q):
-        pts.add(normalize_point(field, tuple(field.add(field.mul(t, x), y) for x, y in zip(a, b))))
+        pts.add(normalize_point(field, tuple(field.add[field.mul[t][x]][y] for x, y in zip(a, b))))
     return frozenset(pts)

@@ -33,7 +33,8 @@ def mask_of(points: Iterable[int]) -> int:
 
 
 class IncidenceStructure:
-    """An indexed point set together with lines of size at least two."""
+    """An indexed point set with lines of size at least two; ``lines_at[p]``
+    lists the ids of the lines through ``p`` and ``adj[p]`` masks its perp."""
 
     def __init__(self, n_points: int, lines: Iterable[Iterable[int]]):
         if n_points < 0:
@@ -42,7 +43,7 @@ class IncidenceStructure:
         self.full_mask = (1 << n_points) - 1
         norm: list[tuple[int, ...]] = []
         masks: list[int] = []
-        self._lines_at: list[list[int]] = [[] for _ in range(n_points)]
+        lines_at: list[list[int]] = [[] for _ in range(n_points)]
         adj = [1 << p for p in range(n_points)]
         for i, line in enumerate(lines):
             pts = tuple(sorted(line))
@@ -56,23 +57,14 @@ class IncidenceStructure:
             if m.bit_count() != len(pts):
                 raise ValueError(f"line {pts} repeats a point")
             for p in pts:
-                self._lines_at[p].append(i)
+                lines_at[p].append(i)
                 adj[p] |= m
             norm.append(pts)
             masks.append(m)
         self.lines = norm
         self.line_masks = masks
         self.adj = adj
-
-    # -- basic incidence -------------------------------------------------
-
-    def lines_at(self, p: int) -> list[int]:
-        """Ids of the lines through point ``p``."""
-        return self._lines_at[p]
-
-    def collinear(self, a: int, b: int) -> bool:
-        """True iff ``a == b`` or some line carries both points."""
-        return bool((self.adj[a] >> b) & 1)
+        self.lines_at = lines_at
 
     # -- perps and radicals ------------------------------------------------
 
@@ -95,7 +87,7 @@ class IncidenceStructure:
         while todo:
             low = todo & -todo
             todo ^= low
-            for i in self._lines_at[low.bit_length() - 1]:
+            for i in self.lines_at[low.bit_length() - 1]:
                 m = self.line_masks[i]
                 if m & ~cur and (m & cur).bit_count() >= 2:
                     todo |= m & ~cur

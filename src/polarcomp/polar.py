@@ -64,7 +64,7 @@ class FormSpec:
     def quad_value(self, v: Sequence[int]) -> int:
         if self.quad is None:
             raise ValueError(f"{self.kind} form has no quadratic part")
-        add, mul = self.field._add, self.field._mul
+        add, mul = self.field.add, self.field.mul
         acc = 0
         for i, j, c in self._quad_terms:
             acc = add[acc][mul[c][mul[v[i]][v[j]]]]
@@ -76,7 +76,7 @@ class FormSpec:
             return True
         if self.quad is not None:
             return self.quad_value(v) == 0
-        add, mul = self.field._add, self.field._mul
+        add, mul = self.field.add, self.field.mul
         acc = 0
         for c, x in zip(self.perp_covector(v), v):
             acc = add[acc][mul[c][x]]
@@ -88,12 +88,12 @@ class FormSpec:
         It is ``u·G``, conjugated for hermitian forms (whose Gram product
         conjugates its right argument).
         """
-        add, mul = self.field._add, self.field._mul
+        add, mul = self.field.add, self.field.mul
         cov = [0] * self.dim
         for i, j, g in self._gram_terms:
             cov[j] = add[cov[j]][mul[u[i]][g]]
         if self.kind == "hermitian":
-            return tuple(map(self.field.conj, cov))
+            return tuple(map(self.field.conj.__getitem__, cov))
         return tuple(cov)
 
 
@@ -121,7 +121,7 @@ def _pairs(dim: int, first: int) -> list[list[int]]:
 
 def _quadric(kind: str, field: GF, quad: list[list[int]]) -> FormSpec:
     """The quadric of upper-triangular ``quad``; its Gram is ``quad + quadᵀ``."""
-    add = field._add
+    add = field.add
     gram = tuple(tuple(add[a][b] for a, b in zip(row, col)) for row, col in zip(quad, zip(*quad)))
     return FormSpec(kind, field, len(quad), gram, tuple(map(tuple, quad)))
 
@@ -132,7 +132,7 @@ def symplectic_form(vdim: int, field: GF) -> FormSpec:
         raise ConfigurationError("a symplectic space needs even vector dimension")
     g = _pairs(vdim, 0)
     for i in range(0, vdim, 2):
-        g[i + 1][i] = field.neg(1)
+        g[i + 1][i] = field.neg[1]
     return FormSpec("symplectic", field, vdim, tuple(map(tuple, g)))
 
 
@@ -156,10 +156,11 @@ def _anisotropic_coeff(f: GF) -> int:
     """A coefficient d making x^2 + xy + d*y^2 anisotropic over the field.
     One exists over every finite field: for odd q some 1 - 4d is a non-square,
     and in characteristic 2 any d of absolute trace 1 will do."""
+    add, mul = f.add, f.mul
     return next(
         d for d in range(1, f.q)
         if all(
-            f.add(f.add(f.mul(x, x), f.mul(x, y)), f.mul(d, f.mul(y, y)))
+            add[add[mul[x][x]][mul[x][y]]][mul[d][mul[y][y]]]
             for x in range(f.q) for y in range(f.q) if x or y
         )
     )
@@ -189,7 +190,7 @@ def _partial_sections(field: GF, cols: list[list[int]], full: int) -> list[list[
     """Entry ``a``, a covector on the coordinates of ``cols`` read as base-q
     digits, the first most significant: the masks of the points ``x`` with
     ``sum a_j x_j == v`` for each ``v``, where ``cols[j][v]`` masks ``x_j == v``."""
-    add, mul, q = field._add, field._mul, field.q
+    add, mul, q = field.add, field.mul, field.q
     table = [[full] + [0] * (q - 1)]
     for col in cols:  # one more coordinate: q**2 mask ops per entry
         grown = []
@@ -221,7 +222,7 @@ class _SectionTable:
         self.q, self.split = q, q ** (dim - dim // 2)
         self.head = _partial_sections(field, cols[: dim // 2], full)
         tail = _partial_sections(field, cols[dim // 2 :], full)
-        self.tail = [[e[v] for v in field._neg] for e in tail]
+        self.tail = [[e[v] for v in field.neg] for e in tail]
         # the ids of pg_points(field, dim - 1) in its order: a leading 1, then any digits
         self.projective = [c for e in range(dim) for c in range(q**e, 2 * q**e)]
 
@@ -436,8 +437,7 @@ def check_polar_axioms(obj: "PolarSpace | IncidenceStructure") -> dict:
     # right side is the sum of |L|(|L| - 1), so the scan runs only on a mismatch.
     pl = None
     if sum(a.bit_count() - 1 for a in st.adj) != sum(k * (k - 1) for k in map(len, st.lines)):
-        rows = ((p, st.lines_at(p)) for p in range(st.n_points))
-        pl = _partial_linear_witness(rows, st.line_masks)
+        pl = _partial_linear_witness(enumerate(st.lines_at), st.line_masks)
     thin = next((i for i, line in enumerate(st.lines) if len(line) < 3), None)
     deg = next((p for p in range(st.n_points) if st.adj[p] == st.full_mask), None)
     found = {

@@ -96,7 +96,7 @@ class Parallelism:
         self.n_classes = len(masks)
 
         # creach[c]: the classes having a member through a point of class c,
-        # a symmetric and reflexive relation; related[c] is its complement.
+        # a symmetric and reflexive relation; its complement related[c] is anti-euclidean.
         class_points = [mask_of(p for k in cls for p in bits(lm[k])) for cls in self.classes]
         self.creach = [mask_of(c for c, b in enumerate(class_points) if a & b) for a in class_points]
         full = (1 << self.n_classes) - 1
@@ -120,10 +120,6 @@ class Parallelism:
         return [masks[cid[k]] if k in cid else 0 for k in range(self.comp.n_lines)]
 
     # -- relations on classes -------------------------------------------------
-
-    def equiv(self, c1: int, c2: int) -> bool:
-        """The anti-euclidean relation on a pair of classes."""
-        return bool((self.related[c1] >> c2) & 1)
 
     def lines_prime(self) -> list[tuple[int, ...]]:
         """Class sets spanned by related class pairs; recovers unreachable

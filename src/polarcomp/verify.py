@@ -18,7 +18,7 @@ from .incidence import IncidenceStructure, bits, is_isomorphism, mask_of
 from .polar import _partial_linear_witness
 from .reconstruct import Run
 
-__all__ = ["CheckResult", "is_isomorphism", "find_isomorphism", "run_lemma_battery"]
+__all__ = ["CheckResult", "find_isomorphism", "run_lemma_battery"]
 
 class CheckResult:
     def __init__(
@@ -54,7 +54,7 @@ def _joint_colors(a: IncidenceStructure, b: IncidenceStructure) -> tuple[list[in
             profile: list = [len(line) for line in st.lines]
         else:
             profile = [tuple(sorted(colors[x] for x in line)) for line in st.lines]
-        sigs = (tuple(sorted(profile[i] for i in st.lines_at(p))) for p in range(st.n_points))
+        sigs = (tuple(sorted(profile[i] for i in ids)) for ids in st.lines_at)
         return [table.setdefault((c, sig), len(table)) for c, sig in zip(colors, sigs)]
 
     ca, cb, n_colors = [0] * a.n_points, [0] * b.n_points, 1
@@ -109,7 +109,7 @@ def find_isomorphism(a: IncidenceStructure, b: IncidenceStructure) -> dict[int, 
         top += 1  # a moved neighbour may now top the buckets
 
     # Bitmasks over b's line ids: the lines through two images are one AND.
-    b_line_ids = [mask_of(b.lines_at(v)) for v in range(b.n_points)]
+    b_line_ids = list(map(mask_of, b.lines_at))
 
     # Depth-first over candidates in id order, on an explicit stack: left[d]
     # holds the candidates of order[d] not tried yet, want[d] the images of
@@ -138,7 +138,7 @@ def find_isomorphism(a: IncidenceStructure, b: IncidenceStructure) -> dict[int, 
             # two placed points forces p onto a line of b through the images
             # of its two least placed points
             cands = color_mask[ca[p]] & ~used_mask
-            for li in a.lines_at(p):
+            for li in a.lines_at[p]:
                 on = a.line_masks[li] & placed_a
                 if on & (on - 1):
                     xy = bits(on)
@@ -352,7 +352,7 @@ def run_lemma_battery(run: Run) -> list[CheckResult]:
             for c2 in range(c1 + 1, p.n_classes):
                 li = _horizon_line_between(comp, dirs[c1], dirs[c2])
                 expected = li is not None and li in deep
-                if p.equiv(c1, c2) != expected:
+                if (p.related[c1] >> c2 & 1) != expected:
                     return {
                         "classes": [c1, c2],
                         "directions": [dirs[c1], dirs[c2]],

@@ -141,7 +141,7 @@ def par_q53(comp_q53_lperp):
 def noncollinear_pair(ps):
     st = ps.structure
     for j in range(1, st.n_points):
-        if not st.collinear(0, j):
+        if not (st.adj[0] >> j & 1):
             return 0, j
     raise AssertionError("no noncollinear pair")
 

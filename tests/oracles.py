@@ -61,11 +61,11 @@ def bilin(form, u, v):
     """Gram product; the right argument is conjugated for hermitian forms."""
     f = form.field
     if form.kind == "hermitian":
-        v = tuple(f.conj(x) for x in v)
+        v = tuple(f.conj[x] for x in v)
     acc = 0
     for ui, row in zip(u, form.gram):
         for c, vj in zip(row, v):
-            acc = f.add(acc, f.mul(ui, f.mul(c, vj)))
+            acc = f.add[acc][f.mul[ui][f.mul[c][vj]]]
     return acc
 
 
@@ -75,7 +75,7 @@ def quad_scan(form, v):
     acc = 0
     for i, row in enumerate(form.quad):
         for j in range(i, form.dim):
-            acc = f.add(acc, f.mul(row[j], f.mul(v[i], v[j])))
+            acc = f.add[acc][f.mul[row[j]][f.mul[v[i]][v[j]]]]
     return acc
 
 
@@ -99,7 +99,7 @@ def covector_sections(ps):
     """Section of each covector of the ambient space, in covector order: the
     points ``x`` with ``sum c_j x_j == 0``, each evaluated coordinate by coordinate."""
     f = ps.form.field
-    add, mul = f._add, f._mul
+    add, mul = f.add, f.mul
     sections = []
     for cov in pg_points(f, ps.form.dim - 1):
         m = 0
@@ -132,9 +132,9 @@ def lines_in(st, xs):
 
 def line_through_scan(st, a, b):
     """First line in id order that holds both points, else None."""
-    if not st.collinear(a, b):
+    if not (st.adj[a] >> b & 1):
         return None
-    return next(i for i in st.lines_at(a) if (st.line_masks[i] >> b) & 1)
+    return next(i for i in st.lines_at[a] if (st.line_masks[i] >> b) & 1)
 
 
 def drop_proper_line(c, k):
@@ -147,7 +147,7 @@ def drop_proper_line(c, k):
 def partial_linear_scan(st):
     """First two lines through a common point that share a second point."""
     for p in range(st.n_points):
-        ids = st.lines_at(p)
+        ids = st.lines_at[p]
         for x in range(len(ids)):
             for y in range(x + 1, len(ids)):
                 i, j = ids[x], ids[y]
@@ -223,7 +223,7 @@ def _span3_mask(ps, index, a, b, c):
                 if s == 0 and t == 0 and u == 0:
                     continue
                 vec = tuple(
-                    f.add(f.add(f.mul(s, x), f.mul(t, y)), f.mul(u, z))
+                    f.add[f.add[f.mul[s][x]][f.mul[t][y]]][f.mul[u][z]]
                     for x, y, z in zip(a, b, c)
                 )
                 mask |= 1 << index[normalize_point(f, vec)]
@@ -513,7 +513,7 @@ def refined_colors(a, b):
 
     def refine(st, colors, table):
         profile = [tuple(sorted(colors[x] for x in line)) for line in st.lines]
-        sigs = (tuple(sorted(profile[i] for i in st.lines_at(p))) for p in range(st.n_points))
+        sigs = (tuple(sorted(profile[i] for i in st.lines_at[p])) for p in range(st.n_points))
         return [table.setdefault((c, sig), len(table)) for c, sig in zip(colors, sigs)]
 
     ca, cb, n_colors = [0] * a.n_points, [0] * b.n_points, 1
@@ -573,10 +573,10 @@ def unforced_isomorphism(a, b):
         for v in range(b.n_points):
             if cb[v] != ca[p] or v in image.values():
                 continue
-            if any(b.collinear(v, image[q]) != a.collinear(p, q) for q in image):
+            if any((b.adj[v] >> image[q] & 1) != (a.adj[p] >> q & 1) for q in image):
                 continue
             image[p] = v
-            full = [li for li in a.lines_at(p) if all(x in image for x in a.lines[li])]
+            full = [li for li in a.lines_at[p] if all(x in image for x in a.lines[li])]
             if all(tuple(sorted(image[x] for x in a.lines[li])) in b_lines for li in full):
                 if extend(d + 1):
                     return True

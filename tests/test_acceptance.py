@@ -84,8 +84,8 @@ def test_criterion_03_deep_points(sp62):
             problems.append(("perp", a))
     small = [("point", p, 1 << p) for p in range(8)]
     small += [("line", li, st.line_masks[li]) for li in range(8)]
-    others = [b for b in range(1, st.n_points) if st.collinear(0, b)][:4]
-    others += [b for b in range(1, st.n_points) if not st.collinear(0, b)][:4]
+    others = [b for b in range(1, st.n_points) if st.adj[0] >> b & 1][:4]
+    others += [b for b in range(1, st.n_points) if not (st.adj[0] >> b & 1)][:4]
     small += [("perp-meet", b, st.adj[0] & st.adj[b]) for b in others]
     for kind, tag, w in small:
         if st.is_hyperplane(w):
@@ -182,9 +182,9 @@ def test_criterion_08_deep_line_equivalence(suite_configs, comp_q53_lperp, par_q
             for c2 in range(c1 + 1, par.n_classes):
                 total += 1
                 li = (comp.base.line_through(dirs[c1], dirs[c2])
-                      if st.collinear(dirs[c1], dirs[c2]) else None)
+                      if st.adj[dirs[c1]] >> dirs[c2] & 1 else None)
                 expected = li is not None and li in deep
-                if par.equiv(c1, c2) != expected:
+                if (par.related[c1] >> c2 & 1) != expected:
                     problems.append((desc, label, c1, c2))
     _report(8, bool(configs) and not problems,
             f"{total} class pairs over {len(configs)} line-bearing horizons{_why(problems)}")
@@ -203,7 +203,7 @@ def test_criterion_09_ternary_collinearity(suite_configs, comp_q53_lperp, par_q5
         for c1, c2, c3 in itertools.combinations(range(nc), 3):
             total += 1
             line = (comp.base.line_through(dirs[c1], dirs[c2])
-                    if st.collinear(dirs[c1], dirs[c2]) else None)
+                    if st.adj[dirs[c1]] >> dirs[c2] & 1 else None)
             ground = line is not None and (st.line_masks[line] >> dirs[c3]) & 1
             if par.ternary_collinear(c1, c2, c3) != bool(ground):
                 problems.append((desc, label, (c1, c2, c3)))

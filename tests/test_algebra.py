@@ -27,20 +27,20 @@ def field(request):
 def test_identities_and_inverses(field):
     q = field.q
     for a in range(q):
-        assert field.add(a, 0) == a
-        assert field.mul(a, 1) == a
-        assert field.mul(a, 0) == 0
-        assert field.add(a, field.neg(a)) == 0
+        assert field.add[a][0] == a
+        assert field.mul[a][1] == a
+        assert field.mul[a][0] == 0
+        assert field.add[a][field.neg[a]] == 0
         if a:
-            assert field.mul(a, field.inv(a)) == 1
+            assert field.mul[a].count(1) == 1
 
 
 def test_commutativity(field):
     q = field.q
     for a in range(q):
         for b in range(q):
-            assert field.add(a, b) == field.add(b, a)
-            assert field.mul(a, b) == field.mul(b, a)
+            assert field.add[a][b] == field.add[b][a]
+            assert field.mul[a][b] == field.mul[b][a]
 
 
 def test_associativity_and_distributivity(field):
@@ -48,16 +48,13 @@ def test_associativity_and_distributivity(field):
     for a in range(q):
         for b in range(q):
             for c in range(q):
-                assert field.add(field.add(a, b), c) == field.add(a, field.add(b, c))
-                assert field.mul(field.mul(a, b), c) == field.mul(a, field.mul(b, c))
-                assert field.mul(a, field.add(b, c)) == field.add(
-                    field.mul(a, b), field.mul(a, c)
-                )
+                assert field.add[field.add[a][b]][c] == field.add[a][field.add[b][c]]
+                assert field.mul[field.mul[a][b]][c] == field.mul[a][field.mul[b][c]]
+                assert field.mul[a][field.add[b][c]] == field.add[field.mul[a][b]][field.mul[a][c]]
 
 
 def test_inv_of_zero(field):
-    with pytest.raises(ZeroDivisionError):
-        field.inv(0)
+    assert 1 not in field.mul[0]
 
 
 # ---------------------------------------------------------------------------
@@ -69,18 +66,17 @@ def test_inv_of_zero(field):
 def test_conj_is_involutory_automorphism(q):
     f = GF(q)
     for a in range(q):
-        assert f.conj(f.conj(a)) == a
+        assert f.conj[f.conj[a]] == a
         for b in range(q):
-            assert f.conj(f.add(a, b)) == f.add(f.conj(a), f.conj(b))
-            assert f.conj(f.mul(a, b)) == f.mul(f.conj(a), f.conj(b))
-    fixed = [a for a in range(q) if f.conj(a) == a]
+            assert f.conj[f.add[a][b]] == f.add[f.conj[a]][f.conj[b]]
+            assert f.conj[f.mul[a][b]] == f.mul[f.conj[a]][f.conj[b]]
+    fixed = [a for a in range(q) if f.conj[a] == a]
     assert len(fixed) ** 2 == q
 
 
 @pytest.mark.parametrize("q", [2, 3, 5, 8])
 def test_conj_needs_even_degree(q):
-    with pytest.raises(ValueError):
-        GF(q).conj(1)
+    assert GF(q).conj is None
 
 
 # ---------------------------------------------------------------------------
@@ -90,29 +86,29 @@ def test_conj_needs_even_degree(q):
 
 def test_gf4_table(gf4):
     # x^2 = x + 1, so 2 * 2 = 3 and 2 * 3 = 1
-    assert gf4.mul(2, 2) == 3
-    assert gf4.mul(2, 3) == 1
-    assert gf4.add(2, 3) == 1
-    assert gf4.inv(2) == 3 and gf4.inv(3) == 2
-    assert gf4.conj(2) == 3 and gf4.conj(3) == 2
-    assert gf4.conj(0) == 0 and gf4.conj(1) == 1
+    assert gf4.mul[2][2] == 3
+    assert gf4.mul[2][3] == 1
+    assert gf4.add[2][3] == 1
+    assert gf4.mul[2].index(1) == 3 and gf4.mul[3].index(1) == 2
+    assert gf4.conj[2] == 3 and gf4.conj[3] == 2
+    assert gf4.conj[0] == 0 and gf4.conj[1] == 1
 
 
 def test_gf8_and_gf16_generators():
     f8 = GF(8)
-    assert f8.mul(2, 4) == 3  # x * x^2 = x + 1
+    assert f8.mul[2][4] == 3  # x * x^2 = x + 1
     f16 = GF(16)
-    assert f16.mul(2, 8) == 3  # x * x^3 = x + 1
-    assert f16.conj(2) == 3  # x ** 4
+    assert f16.mul[2][8] == 3  # x * x^3 = x + 1
+    assert f16.conj[2] == 3  # x ** 4
 
 
 def test_gf9_table(gf3):
     f9 = GF(9)
-    assert f9.mul(3, 3) == 2  # x^2 = -1
-    assert f9.conj(3) == 6  # x ** 3 = -x
-    assert all(f9.conj(a) == a for a in range(3))
-    assert f9.add(1, 2) == 0
-    assert gf3.add(1, 2) == 0
+    assert f9.mul[3][3] == 2  # x^2 = -1
+    assert f9.conj[3] == 6  # x ** 3 = -x
+    assert all(f9.conj[a] == a for a in range(3))
+    assert f9.add[1][2] == 0
+    assert gf3.add[1][2] == 0
 
 
 def test_tables_match_polynomial_arithmetic(field):
@@ -121,16 +117,16 @@ def test_tables_match_polynomial_arithmetic(field):
     modulus = DEFAULT_MODULI.get((p, k), (0, 1))
     for a in range(q):
         da = field_digits(a, p, k)
-        assert field.neg(a) == field_pack([-x % p for x in da], p)
+        assert field.neg[a] == field_pack([-x % p for x in da], p)
         for b in range(q):
             db = field_digits(b, p, k)
-            assert field.add(a, b) == field_pack([(x + y) % p for x, y in zip(da, db)], p)
-            assert field.mul(a, b) == field_mul(p, k, modulus, a, b)
+            assert field.add[a][b] == field_pack([(x + y) % p for x, y in zip(da, db)], p)
+            assert field.mul[a][b] == field_mul(p, k, modulus, a, b)
         if k % 2 == 0:
             power = 1
             for _ in range(p ** (k // 2)):
                 power = field_mul(p, k, modulus, power, a)
-            assert field.conj(a) == power
+            assert field.conj[a] == power
 
 
 def test_coeffs_roundtrip():
@@ -178,7 +174,7 @@ def test_normalize_point(gf3):
     with pytest.raises(ValueError):
         normalize_point(gf3, (0, 0, 0))
     for lam in (1, 2):
-        scaled = tuple(gf3.mul(lam, c) for c in (0, 1, 2))
+        scaled = tuple(gf3.mul[lam][c] for c in (0, 1, 2))
         assert normalize_point(gf3, scaled) == (0, 1, 2)
 
 

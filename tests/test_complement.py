@@ -186,7 +186,7 @@ def _horizon(ps, spec):
     if spec == "section":
         return next(c for c in ps.hyperplane_candidates() if c not in st.adj)
     if spec == "span":
-        b = next(j for j in range(1, st.n_points) if not st.collinear(0, j))
+        b = next(j for j in range(1, st.n_points) if not (st.adj[0] >> j & 1))
         return resolve_horizon(ps, f"span 0,{b}")
     if spec == "line-perp":
         return st.set_perp(st.line_masks[0])

@@ -52,11 +52,21 @@ def test_lines_are_sorted_tuples():
 
 
 def test_collinear(fano, path2):
-    for a in range(7):
-        assert fano.collinear(a, a)
-        for b in range(7):
-            assert fano.collinear(a, b)
-    assert not path2.collinear(0, 3)
+    # adj[p]: p and every point on a line with it; on path2 only 2 sees both lines
+    for st in (fano, path2):
+        assert all(st.adj[p] >> p & 1 for p in range(st.n_points))
+    assert fano.adj == [fano.full_mask] * 7
+    left, right = mask_of([0, 1, 2]), mask_of([2, 3, 4])
+    assert path2.adj == [left, left, left | right, right, right]
+
+
+@pytest.mark.parametrize("name", ["fano", "path2", "sp62"])
+def test_lines_at_is_the_transpose_of_lines(name, request):
+    st = request.getfixturevalue(name)
+    if name == "sp62":
+        st = st.structure
+    for p in range(st.n_points):
+        assert st.lines_at[p] == [i for i, line in enumerate(st.lines) if p in line], p
 
 
 def test_perp_and_set_perp(path2):

@@ -78,3 +78,26 @@ def test_bench_and_test_only_names_have_no_package_reader():
         if defined_in[name] != path.name
     )
     assert readers == []
+
+
+def test_no_module_reads_a_private_attribute_it_does_not_set():
+    """A module reads ``obj._name`` only where it sets ``self._name`` or defines
+    ``_name`` itself: how another module stores its state is that module's."""
+    foreign = []
+    for path in sorted((ROOT / "src" / "polarcomp").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owned = {
+            node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+        } | {
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+            and isinstance(node.value, ast.Name) and node.value.id == "self"
+        }
+        foreign += [
+            (path.name, node.lineno, ast.unparse(node))
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+            and not node.attr.startswith("__") and node.attr not in owned
+        ]
+    assert sorted(foreign) == []

@@ -71,7 +71,7 @@ def _matrix_complements(space, spec, request):
     ps = request.getfixturevalue(space)
     if spec == "span":
         st = ps.structure
-        spec = f"span 0,{next(j for j in range(1, st.n_points) if not st.collinear(0, j))}"
+        spec = f"span 0,{next(j for j in range(1, st.n_points) if not (st.adj[0] >> j & 1))}"
     comp = build_complement(ps, resolve_horizon(ps, spec))
     return comp, drop_proper_line(comp, 0)
 
@@ -268,7 +268,7 @@ def test_reconstruction_reads_no_horizon_data(space, spec, request, monkeypatch)
 
 def test_equiv_is_antireflexive(par_line):
     for c in range(par_line.n_classes):
-        assert not par_line.equiv(c, c)
+        assert not (par_line.related[c] >> c & 1)
 
 
 @pytest.mark.parametrize(
@@ -296,7 +296,7 @@ def test_related_rows_match_oracle(space, spec, request):
             for c2 in range(nc):
                 related = bool((row >> c2) & 1)
                 assert related == bool((par.related[c2] >> c1) & 1)  # symmetric
-                assert related == class_equiv(par, c1, c2) == par.equiv(c1, c2)
+                assert related == class_equiv(par, c1, c2) == (par.related[c1] >> c2 & 1)
         assert par.lines_prime() == lines_prime_scan(par)
 
 
@@ -311,7 +311,7 @@ def test_related_rows_match_oracle_on_random_reach(par_q53, density):
     par.related = [((1 << nc) - 1) & ~row for row in par.creach]
     for c1 in range(nc):
         for c2 in range(nc):
-            assert par.equiv(c1, c2) == class_equiv(par, c1, c2)
+            assert (par.related[c1] >> c2 & 1) == class_equiv(par, c1, c2)
     assert par.lines_prime() == lines_prime_scan(par)
     assert len(par.lines_prime()) > 1
 
@@ -323,7 +323,7 @@ def test_line_horizon_has_no_equiv_pairs(par_line):
         (a, b)
         for a in range(3)
         for b in range(a + 1, 3)
-        if par_line.equiv(a, b)
+        if par_line.related[a] >> b & 1
     ] == []
     assert par_line.lines_prime() == []
 
@@ -424,7 +424,7 @@ def test_q53_prime_family_recovers_the_deep_line(comp_q53_lperp, par_q53, q53):
     # generating pairs are related, and so are all pairs inside the group
     for i, c1 in enumerate(group):
         for c2 in group[i + 1 :]:
-            assert par_q53.equiv(c1, c2)
+            assert par_q53.related[c1] >> c2 & 1
 
 
 def test_q53_second_family(par_q53):
@@ -443,7 +443,7 @@ def test_q53_ternary_against_ground(comp_q53_lperp, par_q53, q53):
     for a in range(0, 22, 3):
         for b in range(a + 1, 22, 2):
             for c in range(b + 1, 22):
-                line = comp_q53_lperp.base.line_through(dirs[a], dirs[b]) if st.collinear(dirs[a], dirs[b]) else None
+                line = comp_q53_lperp.base.line_through(dirs[a], dirs[b]) if st.adj[dirs[a]] >> dirs[b] & 1 else None
                 ground = line is not None and (st.line_masks[line] >> dirs[c]) & 1
                 checked += 1
                 if par_q53.ternary_collinear(a, b, c) != bool(ground):
@@ -481,7 +481,7 @@ def test_perp_meet_horizon_diverges_collinear_pair(sp62):
 
 def test_perp_meet_horizon_diverges_noncollinear_pair(sp62):
     st = sp62.structure
-    assert not st.collinear(0, 1)
+    assert not (st.adj[0] >> 1 & 1)
     comp = build_complement(sp62, st.adj[0] & st.adj[1])
     par = Parallelism(comp)
     assert par.table() != comp.parallel_table()
