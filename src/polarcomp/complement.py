@@ -20,7 +20,7 @@ from collections.abc import Iterable, Sequence
 
 from .errors import ConfigurationError, HorizonRefusal, LemmaFalsified
 from .incidence import bits, mask_of
-from .polar import PolarSpace, _plane_lines
+from .polar import PolarSpace
 
 __all__ = [
     "Complement",
@@ -136,7 +136,7 @@ class Complement:
         if self._planes is None:
             q = self.base.form.field.q
             short = [b for b, t in zip(self.line_closure, self.line_trace) if t.bit_count() == q]
-            found = sorted(_plane_lines(self.base, short).items(), key=lambda item: item[1])
+            found = sorted(self.base.planes_on(short).items(), key=lambda item: item[1])
             proper_id = {b: k for k, b in enumerate(self.line_closure)}
             self._planes = [plane for plane, _ in found]
             self._plane_ids = [tuple(proper_id[b] for b in ids if b in proper_id) for _, ids in found]

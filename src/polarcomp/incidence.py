@@ -4,16 +4,18 @@ Point sets are plain Python ints used as bitsets, which keeps the full
 enumerations in this package fast without any dependencies.  Lines are sorted
 tuples of point indices.  The constructor deliberately does not enforce partial
 linearity: corrupted structures must stay representable so that the axiom
-checker can report on them.  :func:`is_isomorphism` checks a point bijection
-between two structures line by line.
+checker can report on them, and :func:`partial_linear_witness` finds the
+first violation.  :func:`is_isomorphism` checks a point bijection between two
+structures line by line.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 
-__all__ = ["bits", "mask_of", "IncidenceStructure", "is_isomorphism"]
+__all__ = ["bits", "mask_of", "IncidenceStructure", "partial_linear_witness", "is_isomorphism"]
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -113,6 +115,26 @@ class IncidenceStructure:
 
     def __repr__(self) -> str:
         return f"IncidenceStructure({self.n_points} points, {len(self.lines)} lines)"
+
+
+def partial_linear_witness(line_masks: Sequence[int]) -> dict | None:
+    """First two lines through a point sharing another, points ascending and
+    the lines through each in id order; None when no two lines share two points."""
+    lm = line_masks
+    rows: list[list[int]] = [[] for _ in range(max(map(int.bit_length, lm), default=0))]
+    for i, m in enumerate(lm):
+        for p in bits(m):
+            rows[p].append(i)
+    for p, ids in enumerate(rows):
+        # Two lines through p overlap twice iff they share a point besides p.
+        others = 0
+        for i in ids:
+            m = lm[i] & ~(1 << p)
+            if m & others:
+                pairs = itertools.combinations(ids, 2)
+                return next({"lines": [a, b]} for a, b in pairs if (lm[a] & lm[b]).bit_count() > 1)
+            others |= m
+    return None
 
 
 def is_isomorphism(

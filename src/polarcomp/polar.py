@@ -9,12 +9,11 @@ indexed deterministically by the order of :func:`polarcomp.algebra.pg_points`.
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Iterable, Sequence
 
 from .algebra import GF, pg_points
 from .errors import ConfigurationError
-from .incidence import IncidenceStructure, bits
+from .incidence import IncidenceStructure, bits, partial_linear_witness
 
 __all__ = [
     "FormSpec",
@@ -260,44 +259,6 @@ def compute_rank(st: IncidenceStructure) -> int:
         rank += 1
 
 
-def _plane_lines(ps: "PolarSpace", starts: Iterable[int]) -> dict[int, tuple[int, ...]]:
-    """Each singular plane on a start line, its mask with its ascending line
-    ids, each plane built once: from the first start line in it, through the
-    points of that line's perp that no plane found through the line covers
-    (such planes meet only in it).  Over every line in id order, the first
-    line of a plane holds its two least points, and the planes on one line
-    follow their least points off it, so the keys are in lexicographic order.
-    A line is its own perp in rank 2, so there the walk finds nothing."""
-    st, line_through = ps.structure, ps.line_through
-    lines, line_masks, perps = st.lines, st.line_masks, ps.line_perps
-    covered = list(line_masks)
-    found = {}
-    for li in starts:
-        lm, on = line_masks[li], lines[li]
-        rest = perps[li] & ~covered[li]
-        while rest:
-            # The plane on L and x: L, the spokes from x to the points of L,
-            # and at each point of L the lines to the points off L and its spoke.
-            x = (rest & -rest).bit_length() - 1
-            spokes = [line_through(x, p) for p in on]
-            plane = lm
-            for k in spokes:
-                plane |= line_masks[k]
-            ids = [li, *spokes]
-            for p, k in zip(on, spokes):
-                off = plane & ~lm & ~line_masks[k]
-                while off:
-                    j = line_through(p, (off & -off).bit_length() - 1)
-                    ids.append(j)
-                    off &= ~line_masks[j]
-            for k in ids:
-                covered[k] |= plane
-            ids.sort()
-            found[plane] = tuple(ids)
-            rest &= ~plane
-    return found
-
-
 class PolarSpace:
     """A classical polar space with its coordinate model attached."""
 
@@ -360,11 +321,48 @@ class PolarSpace:
         adj = self.structure.adj
         return self._line_of_perp.get(adj[a] & adj[b])
 
+    def planes_on(self, starts: Iterable[int]) -> dict[int, tuple[int, ...]]:
+        """Each singular plane on a start line, its mask with its ascending line
+        ids, each plane built once: from the first start line in it, through the
+        points of that line's perp that no plane found through the line covers
+        (such planes meet only in it).  Over every line in id order, the first
+        line of a plane holds its two least points, and the planes on one line
+        follow their least points off it, so the keys are in lexicographic order.
+        A line is its own perp in rank 2, so there the walk finds nothing."""
+        st, line_through = self.structure, self.line_through
+        lines, line_masks, perps = st.lines, st.line_masks, self.line_perps
+        covered = list(line_masks)
+        found = {}
+        for li in starts:
+            lm, on = line_masks[li], lines[li]
+            rest = perps[li] & ~covered[li]
+            while rest:
+                # The plane on L and x: L, the spokes from x to the points of L,
+                # and at each point of L the lines to the points off L and its spoke.
+                x = (rest & -rest).bit_length() - 1
+                spokes = [line_through(x, p) for p in on]
+                plane = lm
+                for k in spokes:
+                    plane |= line_masks[k]
+                ids = [li, *spokes]
+                for p, k in zip(on, spokes):
+                    off = plane & ~lm & ~line_masks[k]
+                    while off:
+                        j = line_through(p, (off & -off).bit_length() - 1)
+                        ids.append(j)
+                        off &= ~line_masks[j]
+                for k in ids:
+                    covered[k] |= plane
+                ids.sort()
+                found[plane] = tuple(ids)
+                rest &= ~plane
+        return found
+
     def singular_planes(self) -> list[int]:
         """Masks of all singular planes in lexicographic point order, empty
         when the rank is below 3."""
         if self._planes is None:
-            self._planes = list(_plane_lines(self, range(len(self.line_perps))))
+            self._planes = list(self.planes_on(range(len(self.line_perps))))
         return self._planes
 
     def hyperplane_candidates(self, over: int = 0) -> list[int]:
@@ -388,23 +386,6 @@ def build_polar(form: FormSpec) -> PolarSpace:
     if ps.rank < 3:
         raise ConfigurationError(f"polar space has rank {ps.rank} < 3")
     return ps
-
-
-def _partial_linear_witness(
-    rows: Iterable[tuple[int, Sequence[int]]], lm: list[int]
-) -> dict | None:
-    """First two lines through a point sharing another: ``rows`` pairs each
-    point with the ids of its lines, both ascending; ``lm`` holds line masks."""
-    for p, ids in rows:
-        # Two lines through p overlap twice iff they share a point besides p.
-        others = 0
-        for i in ids:
-            m = lm[i] & ~(1 << p)
-            if m & others:
-                pairs = itertools.combinations(ids, 2)
-                return next({"lines": [a, b]} for a, b in pairs if (lm[a] & lm[b]).bit_count() > 1)
-            others |= m
-    return None
 
 
 def _one_or_all_witness(st: IncidenceStructure) -> dict | None:
@@ -437,7 +418,7 @@ def check_polar_axioms(obj: "PolarSpace | IncidenceStructure") -> dict:
     # right side is the sum of |L|(|L| - 1), so the scan runs only on a mismatch.
     pl = None
     if sum(a.bit_count() - 1 for a in st.adj) != sum(k * (k - 1) for k in map(len, st.lines)):
-        pl = _partial_linear_witness(enumerate(st.lines_at), st.line_masks)
+        pl = partial_linear_witness(st.line_masks)
     thin = next((i for i, line in enumerate(st.lines) if len(line) < 3), None)
     deg = next((p for p in range(st.n_points) if st.adj[p] == st.full_mask), None)
     found = {

@@ -95,12 +95,10 @@ class Parallelism:
         self.class_line_mask = masks
         self.n_classes = len(masks)
 
-        # creach[c]: the classes having a member through a point of class c,
-        # a symmetric and reflexive relation; its complement related[c] is anti-euclidean.
+        # related[c]: the classes with no member through a point of class c,
+        # the complement of a symmetric and reflexive reach, so anti-euclidean.
         class_points = [mask_of(p for k in cls for p in bits(lm[k])) for cls in self.classes]
-        self.creach = [mask_of(c for c, b in enumerate(class_points) if a & b) for a in class_points]
-        full = (1 << self.n_classes) - 1
-        self.related = [full & ~row for row in self.creach]
+        self.related = [mask_of(c for c, b in enumerate(class_points) if not a & b) for a in class_points]
 
         # The classes with a member in each plane; by transpose, the planes of each class.
         self.plane_classes = [

@@ -14,8 +14,7 @@ from functools import cache
 
 from .complement import Complement
 from .errors import HorizonRefusal, LemmaFalsified
-from .incidence import IncidenceStructure, bits, is_isomorphism, mask_of
-from .polar import _partial_linear_witness
+from .incidence import IncidenceStructure, bits, is_isomorphism, mask_of, partial_linear_witness
 from .reconstruct import Run
 
 __all__ = ["CheckResult", "find_isomorphism", "run_lemma_battery"]
@@ -207,11 +206,7 @@ def run_lemma_battery(run: Run) -> list[CheckResult]:
     st = comp.base.structure
 
     def check_partial_linear() -> dict | None:
-        rows: dict[int, list[int]] = {p: [] for p in comp.proper_points}
-        for k, trace in enumerate(comp.line_trace):
-            for p in bits(trace):
-                rows[p].append(k)
-        return _partial_linear_witness(rows.items(), comp.line_trace)
+        return partial_linear_witness(comp.line_trace)
 
     def check_affine_fibration() -> dict | None:
         w = comp.horizon

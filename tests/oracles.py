@@ -400,8 +400,10 @@ def ternary_scan(par):
                         return True
         return False
 
+    reach = class_reach_scan(par)
+
     def related(*cs):
-        return all(class_equiv(par, a, b) for a, b in itertools.combinations(cs, 2))
+        return all(class_equiv(reach, a, b) for a, b in itertools.combinations(cs, 2))
 
     return {
         t
@@ -446,12 +448,12 @@ def fibration_mismatch(comp):
     return None
 
 
-def class_equiv(par, c1, c2):
-    """The anti-euclidean relation on two classes, from the class reach rows:
+def class_equiv(reach, c1, c2):
+    """The anti-euclidean relation on two classes, from class reach rows:
     distinct, and neither class reaches the other."""
     if c1 == c2:
         return False
-    return not ((par.creach[c1] >> c2) & 1 or (par.creach[c2] >> c1) & 1)
+    return not ((reach[c1] >> c2) & 1 or (reach[c2] >> c1) & 1)
 
 
 def random_reach(n, density, rnd):
@@ -465,16 +467,16 @@ def random_reach(n, density, rnd):
     return rows
 
 
-def lines_prime_scan(par):
-    """For each related pair ``c1 < c2``, every class equal or related to both;
-    each set once, in first-seen order."""
+def lines_prime_scan(par, reach):
+    """For each pair ``c1 < c2`` related by the reach rows, every class equal
+    or related to both; each set once, in first-seen order."""
     def hat(m, c):
-        return m == c or class_equiv(par, m, c)
+        return m == c or class_equiv(reach, m, c)
 
     out = []
     for c1 in range(par.n_classes):
         for c2 in range(c1 + 1, par.n_classes):
-            if class_equiv(par, c1, c2):
+            if class_equiv(reach, c1, c2):
                 group = tuple(m for m in range(par.n_classes) if hat(m, c1) and hat(m, c2))
                 if group not in out:
                     out.append(group)

@@ -415,7 +415,7 @@ def test_complement_task_enumerates_no_plane(form, horizon, tmp_path, monkeypatc
     def no_walk(*args):
         raise AssertionError("singular planes enumerated")
 
-    _patch_every_binding(monkeypatch, polar_module._plane_lines, no_walk)
+    monkeypatch.setattr(polar_module.PolarSpace, "planes_on", no_walk)
     assert run_cli(*argv, "--out", str(tmp_path / "counted")) == 0
     expected = (tmp_path / "walk" / "complement.json").read_bytes()
     assert (tmp_path / "counted" / "complement.json").read_bytes() == expected

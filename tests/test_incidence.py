@@ -1,9 +1,11 @@
 """Bitset incidence structures: closures, perps, subspace predicates."""
 
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as hst
 
-from polarcomp.incidence import IncidenceStructure, bits, mask_of
-from oracles import is_spiky, lines_in
+from polarcomp.incidence import IncidenceStructure, bits, mask_of, partial_linear_witness
+from oracles import is_spiky, lines_in, partial_linear_scan
 
 # The 7-point projective plane; every point pair lies on exactly one line.
 FANO_LINES = [
@@ -129,3 +131,12 @@ def test_equality_ignores_line_order():
 
 def test_repr_is_compact(fano):
     assert "7 points" in repr(fano)
+
+
+@settings(derandomize=True, deadline=None, phases=(Phase.explicit, Phase.generate))
+@given(hst.lists(hst.sets(hst.integers(0, 11), min_size=2, max_size=4), max_size=12))
+def test_partial_linear_witness_matches_scan(lines):
+    """Built from the line masks alone, the rows give the witness that the
+    structure's own point-line rows give to the scan, or None with it."""
+    st = IncidenceStructure(12, lines)
+    assert partial_linear_witness(st.line_masks) == partial_linear_scan(st)

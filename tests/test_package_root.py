@@ -7,6 +7,8 @@ or an import alias; a record class or helper that nothing outside its own
 module reads belongs in that module alone.
 The names that only the benchmark and the tests still read are named by no
 other package module, so that they can leave ``src`` with nothing to rewire.
+A helper has one owner: no package module imports another's private name,
+so a helper that two modules need lives, public, with the data it reads.
 """
 
 import ast
@@ -101,3 +103,17 @@ def test_no_module_reads_a_private_attribute_it_does_not_set():
             and not node.attr.startswith("__") and node.attr not in owned
         ]
     assert sorted(foreign) == []
+
+
+def test_no_module_imports_a_private_name_of_another():
+    """``from .mod import _name`` reaches into ``mod``: a helper another module
+    needs is public in the module that owns its data."""
+    imported = sorted(
+        (path.name, alias.name)
+        for path in sorted((ROOT / "src" / "polarcomp").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for alias in node.names
+        if alias.name.startswith("_")
+    )
+    assert imported == []

@@ -16,13 +16,12 @@ from polarcomp.algebra import GF
 from polarcomp.cli import parse_form
 from polarcomp.complement import resolve_horizon
 from polarcomp.errors import ConfigurationError
-from polarcomp.incidence import IncidenceStructure, bits
+from polarcomp.incidence import IncidenceStructure, bits, partial_linear_witness
 from polarcomp.polar import (
     FormSpec,
     PolarSpace,
     _anisotropic_coeff,
     _one_or_all_witness,
-    _partial_linear_witness,
     build_polar,
     check_polar_axioms,
     compute_rank,
@@ -144,7 +143,7 @@ def test_singular_planes_of_larger_spaces(desc, q, n_planes):
 def test_singular_plane_lines_match_lines_in(desc):
     ps = _space(desc)
     st = ps.structure
-    found = polar_module._plane_lines(ps, range(len(st.lines)))
+    found = ps.planes_on(range(len(st.lines)))
     assert list(found) == ps.singular_planes()
     assert list(found.values()) == [tuple(lines_in(st, m)) for m in ps.singular_planes()]
 
@@ -156,13 +155,13 @@ def test_plane_walk_from_some_lines_finds_exactly_their_planes(desc):
     ps = _space(desc)
     st = ps.structure
     starts = random.Random(desc).sample(range(len(st.lines)), len(st.lines) // 20)
-    found = polar_module._plane_lines(ps, sorted(starts))
+    found = ps.planes_on(sorted(starts))
     expected = {
         m: tuple(lines_in(st, m)) for m in ps.singular_planes()
         if any(not st.line_masks[k] & ~m for k in starts)
     }
     assert found == expected
-    assert polar_module._plane_lines(ps, []) == {}
+    assert ps.planes_on([]) == {}
 
 
 @pytest.mark.parametrize("desc", ["sp:6:2", "q+:5:3", "q-:7:2", "herm:5:4", "sp:8:2"])
@@ -264,8 +263,7 @@ def test_axiom_witnesses_match_oracles(desc):
     }
     for name, variant in variants.items():
         tampered = IncidenceStructure(st.n_points, variant)
-        rows = ((p, tampered.lines_at[p]) for p in range(tampered.n_points))
-        pl = _partial_linear_witness(rows, tampered.line_masks)
+        pl = partial_linear_witness(tampered.line_masks)
         oa = _one_or_all_witness(tampered)
         assert pl == partial_linear_scan(tampered), name
         assert oa == one_or_all_scan(tampered), name

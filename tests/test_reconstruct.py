@@ -179,12 +179,14 @@ def test_ternary_collinear_matches_global_scan_q53(par_q53):
 def test_class_tables_match_per_line_oracles(space, spec, request):
     for c in _matrix_complements(space, spec, request):
         par = Parallelism(c)
-        assert par.creach == class_reach_scan(par)
+        full = (1 << par.n_classes) - 1
+        assert par.related == [full & ~row for row in class_reach_scan(par)]
         assert par.lines_second() == lines_second_scan(par)
 
 
 def test_class_tables_match_per_line_oracles_q53(par_q53):
-    assert par_q53.creach == class_reach_scan(par_q53)
+    full = (1 << par_q53.n_classes) - 1
+    assert par_q53.related == [full & ~row for row in class_reach_scan(par_q53)]
     assert par_q53.lines_second() == lines_second_scan(par_q53)
 
 
@@ -286,18 +288,19 @@ def test_related_rows_match_oracle(space, spec, request):
         par = Parallelism(c)
         nc = par.n_classes
         full = (1 << nc) - 1
+        reach = class_reach_scan(par)
         assert len(par.related) == nc
-        for c1, row in enumerate(par.creach):  # symmetric and reflexive
+        for c1, row in enumerate(reach):  # symmetric and reflexive
             assert row >> nc == 0 and (row >> c1) & 1
-            assert all((par.creach[c2] >> c1) & 1 for c2 in bits(row))
+            assert all((reach[c2] >> c1) & 1 for c2 in bits(row))
             assert par.related[c1] == full & ~row
         for c1, row in enumerate(par.related):
             assert row >> nc == 0 and not (row >> c1) & 1  # irreflexive
             for c2 in range(nc):
                 related = bool((row >> c2) & 1)
                 assert related == bool((par.related[c2] >> c1) & 1)  # symmetric
-                assert related == class_equiv(par, c1, c2) == (par.related[c1] >> c2 & 1)
-        assert par.lines_prime() == lines_prime_scan(par)
+                assert related == class_equiv(reach, c1, c2) == (par.related[c1] >> c2 & 1)
+        assert par.lines_prime() == lines_prime_scan(par, reach)
 
 
 @pytest.mark.parametrize("density", [0.05, 0.2, 0.5])
@@ -307,12 +310,12 @@ def test_related_rows_match_oracle_on_random_reach(par_q53, density):
     # form cliques.
     nc = par_q53.n_classes
     par = copy.copy(par_q53)
-    par.creach = random_reach(nc, density, random.Random(density))
-    par.related = [((1 << nc) - 1) & ~row for row in par.creach]
+    reach = random_reach(nc, density, random.Random(density))
+    par.related = [((1 << nc) - 1) & ~row for row in reach]
     for c1 in range(nc):
         for c2 in range(nc):
-            assert (par.related[c1] >> c2 & 1) == class_equiv(par, c1, c2)
-    assert par.lines_prime() == lines_prime_scan(par)
+            assert (par.related[c1] >> c2 & 1) == class_equiv(reach, c1, c2)
+    assert par.lines_prime() == lines_prime_scan(par, reach)
     assert len(par.lines_prime()) > 1
 
 

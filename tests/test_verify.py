@@ -833,8 +833,8 @@ def test_equiv_triples_walk_matches_oracle(comp_q53_lperp, par_q53):
     whose directions are not collinear."""
     nc = par_q53.n_classes
     par = copy.copy(par_q53)
-    par.creach = random_reach(nc, 0.3, random.Random(1))
-    par.related = [((1 << nc) - 1) & ~row for row in par.creach]
+    reach = random_reach(nc, 0.3, random.Random(1))
+    par.related = [((1 << nc) - 1) & ~row for row in reach]
 
     class TamperedRun(Run):
         parallelism = par
@@ -849,7 +849,7 @@ def test_equiv_triples_walk_matches_oracle(comp_q53_lperp, par_q53):
     expected = next(
         {"classes": [a, b, c], "directions": [dirs[a], dirs[b], dirs[c]]}
         for a, b, c in itertools.combinations(range(nc), 3)
-        if class_equiv(par, a, b) and class_equiv(par, b, c) and class_equiv(par, a, c)
+        if class_equiv(reach, a, b) and class_equiv(reach, b, c) and class_equiv(reach, a, c)
         and not collinear(a, b, c)
     )
     results = run_lemma_battery(TamperedRun(comp_q53_lperp))
